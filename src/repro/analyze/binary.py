@@ -17,7 +17,7 @@ builder's ``is_wrapper`` hints.  Four recovery passes:
    precision is what the report measures).
 2. **Wrapper partition**.  Purely structural: a recovered function whose
    run starts with a ``Syscall`` and is stub-sized is a syscall wrapper
-   (:func:`repro.analyze.common.is_structural_wrapper`).
+   (:func:`repro.ir.callgraph.is_structural_wrapper`).
 3. **Call types + reachable syscall set**.  A fixpoint reachability walk
    from the entry point: taking a function's address is itself an act of
    *reachable* code, so address-taken targets join the root set only
@@ -27,10 +27,12 @@ builder's ``is_wrapper`` hints.  Four recovery passes:
    then derived exactly like the IR pass, but restricted to reachable
    code: statically present *dead* surface (libc's never-called
    ``system()`` and every unused wrapper) drops out of the tables.
-4. **Flow graph**.  Recovered caller edges feed the same memoized chain
-   counting as :mod:`repro.analyze.flowgraph`, yielding comparable
-   chains / attack-surface numbers for the recovered control-flow
-   context.
+4. **Flow graph**.  :func:`program_graph` turns the recovery into the
+   same :class:`~repro.policy.ProgramGraph` the metadata pass builds, so
+   the one chain counter and flow-metrics function of
+   :mod:`repro.analyze.flowgraph` yield comparable chains /
+   attack-surface numbers for the recovered control-flow context, and
+   the one transition engine compiles the binary-produced policy.
 
 The recovered tables are *load-bearing*: the ``binary_only`` mechanism
 (:mod:`repro.mechanisms.binary`) synthesizes its seccomp allowlist and
@@ -42,24 +44,20 @@ app (the ``analysis-precision`` CI gate pins that payload).
 import bisect
 from dataclasses import dataclass
 
-from repro.analyze.common import (
+from repro.analyze.diagnostics import Diagnostic
+from repro.errors import ExecutionFault
+from repro.ir.callgraph import (
     is_structural_wrapper,
     wrapped_syscalls,
     wrapper_map,
 )
-from repro.analyze.diagnostics import Diagnostic
-from repro.errors import ExecutionFault
 from repro.ir.instructions import Call, CallIndirect, FuncAddr, Syscall
-from repro.policy import CompiledPolicy, FlowFunction, build_transition_graph
-from repro.syscalls import argspec_for
+from repro.policy import CompiledPolicy, ProgramGraph, build_transition_graph
 from repro.syscalls.sensitive import SENSITIVE_SYSCALLS
 from repro.vm.loader import INSTR_STRIDE, TEXT_BASE, Image
 
 PASS_NAME = "binary"
 _KINDS = ("direct", "indirect")
-
-#: chain counts saturate here (same cap as the metadata-driven flow pass)
-CHAIN_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -321,6 +319,37 @@ def recover_image(image):
 # ---------------------------------------------------------------------------
 
 
+def program_graph(recovery):
+    """The :class:`~repro.policy.ProgramGraph` of a recovered image.
+
+    Functions are the recovered runs keyed by base address, symbolized
+    for origin annotations.  A stripped binary records no thread
+    entries, so ``thread_entries`` is None.  Only reachable code counts
+    as a legitimate caller or indirect callsite.
+    """
+    image = recovery.image
+    reachable = recovery.reachable
+    return ProgramGraph(
+        functions={
+            base: (recovery.symbolize(base), func.instrs)
+            for base, func in recovery.functions.items()
+        },
+        entry=recovery.entry,
+        thread_entries=None,
+        address_taken=tuple(sorted(recovery.address_taken)),
+        resolve=lambda name: _resolve_target(image, name),
+        callers={
+            callee: tuple(caller for caller, _site in sites if caller in reachable)
+            for callee, sites in recovery.direct_callers.items()
+        },
+        indirect_sites=sum(
+            1
+            for site in recovery.indirect_sites
+            if recovery.function_at(site) in reachable
+        ),
+    )
+
+
 def compile_policy(recovery, program=None):
     """Compile a :class:`~repro.policy.CompiledPolicy` from recovery alone.
 
@@ -336,34 +365,21 @@ def compile_policy(recovery, program=None):
       ``binary_only`` mechanism has always enforced, now carried by the
       artifact instead of reached into.
     """
-    image = recovery.image
-    functions = {
-        base: FlowFunction(
-            fid=base, symbol=recovery.symbolize(base), instrs=func.instrs
-        )
-        for base, func in recovery.functions.items()
-    }
-    graph = build_transition_graph(
-        functions,
-        entry=recovery.entry,
-        resolve_callee=lambda name: _resolve_target(image, name),
-        indirect_targets=tuple(sorted(recovery.address_taken)),
-        thread_entries=tuple(sorted(recovery.address_taken)),
-    )
+    flow = build_transition_graph(program_graph(recovery))
     return CompiledPolicy(
         producer="binary",
-        program=program if program is not None else image.module.name,
+        program=program if program is not None else recovery.image.module.name,
         entry=recovery.symbolize(recovery.entry),
         presence=tuple(sorted(recovery.reachable_syscalls)),
         call_kinds={
             syscall: tuple(kinds)
             for syscall, kinds in _table_as_lists(recovery.call_types).items()
         },
-        transitions=graph.transitions,
+        transitions=flow.transitions,
         provenance={
             "source": "binary-recovery",
             "functions": len(recovery.functions),
-            "reachable_functions": len(graph.reachable),
+            "reachable_functions": len(flow.reachable),
             "indirect_targets": len(recovery.address_taken),
             "thread_entries": "address-taken (conservative)",
         },
@@ -389,54 +405,11 @@ def policy_for_image(module):
 # ---------------------------------------------------------------------------
 
 
-class RecoveredChainCounter:
-    """Memoized backward chain counter over *recovered* caller edges.
-
-    Mirrors :class:`repro.analyze.flowgraph.ChainCounter`, with the
-    metadata tables swapped for their recovered counterparts: roots are
-    the entry point, address-taken functions terminate partial chains at
-    each recovered indirect callsite, and recursion is cut at the first
-    repeated function.
-    """
-
-    def __init__(self, recovery):
-        self.recovery = recovery
-        self.roots = {recovery.entry}
-        reachable_indirect = [
-            site
-            for site in recovery.indirect_sites
-            if recovery.function_at(site) in recovery.reachable
-        ]
-        self.indirect_site_count = len(reachable_indirect)
-        self._memo = {}
-
-    def chains_to(self, base):
-        return self._count(base, ())
-
-    def _count(self, base, path):
-        if base in path:
-            return 0  # recursion: cut the cycle
-        memoized = self._memo.get(base)
-        if memoized is not None:
-            return memoized
-        total = 1 if base in self.roots else 0
-        path = path + (base,)
-        for caller, _site in self.recovery.direct_callers.get(base, ()):
-            if caller not in self.recovery.reachable:
-                continue
-            total += self._count(caller, path)
-            if total >= CHAIN_CAP:
-                total = CHAIN_CAP
-                break
-        if total < CHAIN_CAP and base in self.recovery.address_taken:
-            total = min(CHAIN_CAP, total + self.indirect_site_count)
-        self._memo[base] = total
-        return total
-
-
 def recovered_flow_metrics(recovery):
     """Chains / attack-surface statistics over the recovered flow graph,
     shaped like the metadata-driven flow pass's metrics."""
+    from repro.analyze.flowgraph import flow_metrics
+
     sensitive = set(SENSITIVE_SYSCALLS)
     hot_wrappers = {
         base: [s for s in names if s in sensitive][0]
@@ -457,31 +430,7 @@ def recovered_flow_metrics(recovery):
             elif isinstance(instr, Syscall) and instr.name in sensitive:
                 sites[(base, addr)] = instr.name
             addr += INSTR_STRIDE
-
-    counter = RecoveredChainCounter(recovery)
-    per_syscall = {}
-    total_chains = 0
-    attack_surface = 0
-    for (base, _addr), syscall in sorted(sites.items()):
-        chains = counter.chains_to(base)
-        args = len(argspec_for(syscall).kinds)
-        entry = per_syscall.setdefault(
-            syscall, {"sites": 0, "chains": 0, "args": args, "surface": 0}
-        )
-        entry["sites"] += 1
-        entry["chains"] = min(CHAIN_CAP, entry["chains"] + chains)
-        entry["surface"] = min(CHAIN_CAP, entry["surface"] + chains * args)
-        total_chains = min(CHAIN_CAP, total_chains + chains)
-        attack_surface = min(CHAIN_CAP, attack_surface + chains * args)
-
-    return {
-        "sensitive_sites": len(sites),
-        "chains": total_chains,
-        "attack_surface": attack_surface,
-        "per_syscall": {
-            name: dict(v) for name, v in sorted(per_syscall.items())
-        },
-    }
+    return flow_metrics(program_graph(recovery), sites)[0]
 
 
 # ---------------------------------------------------------------------------

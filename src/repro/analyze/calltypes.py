@@ -15,8 +15,8 @@ Two failure directions, both errors:
   monitor would kill a legitimate execution.
 """
 
-from repro.analyze.common import wrapper_map as _wrapper_map
 from repro.analyze.diagnostics import Diagnostic
+from repro.ir.callgraph import wrapper_map as _wrapper_map
 from repro.ir.instructions import Call, FuncAddr, Syscall
 from repro.syscalls import SYSCALL_BY_NAME
 

@@ -18,8 +18,8 @@ between what the taint demands and what the instrumenter emitted is a
 finding with an IR location.
 """
 
-from repro.analyze.common import wrapper_map as _wrapper_map
 from repro.analyze.diagnostics import Diagnostic
+from repro.ir.callgraph import wrapper_map as _wrapper_map
 from repro.ir.dataflow import def_use_chains
 from repro.ir.instructions import (
     AddrGlobal,

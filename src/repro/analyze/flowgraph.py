@@ -21,11 +21,16 @@ and counts saturate at :data:`CHAIN_CAP` so pathological graphs stay
 finite.  Sites whose function no legitimate chain reaches are reported as
 ``unreachable-site`` warnings — protected code the control-flow context
 says can never run is a precision loss, not a soundness hole.
+
+:class:`ChainCounter` and :func:`flow_metrics` run over a
+:class:`~repro.policy.ProgramGraph`, so the binary analyzer
+(:mod:`repro.analyze.binary`) reports the same metrics over the graph it
+recovers from an image.
 """
 
 from repro.analyze.completeness import find_sensitive_sites
 from repro.analyze.diagnostics import Diagnostic
-from repro.policy import CompiledPolicy, FlowFunction, build_transition_graph
+from repro.policy import CompiledPolicy, ProgramGraph, build_transition_graph
 from repro.syscalls import argspec_for
 
 PASS_NAME = "flow"
@@ -34,39 +39,65 @@ PASS_NAME = "flow"
 CHAIN_CAP = 1_000_000
 
 
-class ChainCounter:
-    """Memoized backward chain counter over the metadata's caller edges."""
+def program_graph(artifact, module=None):
+    """The :class:`~repro.policy.ProgramGraph` of a compiled artifact.
 
-    def __init__(self, metadata):
-        self.metadata = metadata
-        self.roots = {metadata.entry} | set(metadata.thread_entries)
-        self.address_taken = set(metadata.address_taken)
-        self.indirect_site_count = len(metadata.indirect_sites)
+    Functions come from the module IR (``module`` overrides the
+    artifact's own build, see :func:`compile_policy`); the entry, thread
+    entries, address-taken set, caller edges (``valid_callers``) and
+    indirect callsites come from the compiler metadata.
+    """
+    module = module if module is not None else artifact.module
+    metadata = artifact.metadata
+    functions = {
+        name: (name, tuple(fn.body)) for name, fn in module.functions.items()
+    }
+    return ProgramGraph(
+        functions=functions,
+        entry=metadata.entry,
+        thread_entries=tuple(metadata.thread_entries),
+        address_taken=tuple(metadata.address_taken),
+        resolve=lambda name: name if name in functions else None,
+        callers={
+            callee: tuple(site.func for site in sites)
+            for callee, sites in metadata.valid_callers.items()
+        },
+        indirect_sites=len(metadata.indirect_sites),
+    )
+
+
+class ChainCounter:
+    """Memoized backward chain counter over a program graph's caller edges."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.roots = {graph.entry} | set(graph.thread_entries or ())
+        self.address_taken = set(graph.address_taken)
         self._memo = {}
 
-    def chains_to(self, func_name):
-        """Number of legitimate call chains from a root to ``func_name``."""
-        return self._count(func_name, ())
+    def chains_to(self, fid):
+        """Number of legitimate call chains from a root to ``fid``."""
+        return self._count(fid, ())
 
-    def _count(self, func_name, path):
-        if func_name in path:
+    def _count(self, fid, path):
+        if fid in path:
             return 0  # recursion: cut the cycle
-        memoized = self._memo.get(func_name)
+        memoized = self._memo.get(fid)
         if memoized is not None:
             return memoized
-        total = 1 if func_name in self.roots else 0
-        path = path + (func_name,)
-        for site in self.metadata.valid_callers.get(func_name, ()):
-            total += self._count(site.func, path)
+        total = 1 if fid in self.roots else 0
+        path = path + (fid,)
+        for caller in self.graph.callers.get(fid, ()):
+            total += self._count(caller, path)
             if total >= CHAIN_CAP:
                 total = CHAIN_CAP
                 break
-        if total < CHAIN_CAP and func_name in self.address_taken:
+        if total < CHAIN_CAP and fid in self.address_taken:
             # §6.2: a partial stack ending at a legitimate indirect callsite
             # is valid when the callee there is address-taken — each indirect
             # callsite is therefore a chain terminus of its own.
-            total = min(CHAIN_CAP, total + self.indirect_site_count)
-        self._memo[func_name] = total
+            total = min(CHAIN_CAP, total + self.graph.indirect_sites)
+        self._memo[fid] = total
         return total
 
 
@@ -75,35 +106,22 @@ def reachable_args(syscall):
     return len(argspec_for(syscall).kinds)
 
 
-def analyze_flow(artifact):
-    """Compute syscall-flow precision metrics for a compiled artifact.
+def flow_metrics(graph, sites):
+    """Chains / attack-surface statistics over either producer's graph.
 
-    Returns ``(diagnostics, metrics)``.
+    ``sites`` maps ``(fid, position)`` to the sensitive syscall issued
+    there.  Returns ``(metrics, unreachable)``: the metrics dict and the
+    sorted ``((fid, position), syscall)`` sites no chain reaches.
     """
-    module = artifact.module
-    metadata = artifact.metadata
-    counter = ChainCounter(metadata)
-    sites = find_sensitive_sites(module, metadata.sensitive_set)
-
-    diagnostics = []
+    counter = ChainCounter(graph)
+    unreachable = []
     per_syscall = {}
     total_chains = 0
     attack_surface = 0
-    for (func_name, index), syscall in sorted(sites.items()):
-        chains = counter.chains_to(func_name)
+    for site, syscall in sorted(sites.items()):
+        chains = counter.chains_to(site[0])
         if chains == 0:
-            diagnostics.append(
-                Diagnostic(
-                    PASS_NAME,
-                    "unreachable-site",
-                    "warning",
-                    "no legitimate call chain reaches this %s callsite under "
-                    "the emitted control-flow context" % syscall,
-                    func=func_name,
-                    index=index,
-                    syscall=syscall,
-                )
-            )
+            unreachable.append((site, syscall))
         args = reachable_args(syscall)
         entry = per_syscall.setdefault(
             syscall, {"sites": 0, "chains": 0, "args": args, "surface": 0}
@@ -120,6 +138,29 @@ def analyze_flow(artifact):
         "attack_surface": attack_surface,
         "per_syscall": {name: dict(v) for name, v in sorted(per_syscall.items())},
     }
+    return metrics, unreachable
+
+
+def analyze_flow(artifact):
+    """Compute syscall-flow precision metrics for a compiled artifact.
+
+    Returns ``(diagnostics, metrics)``.
+    """
+    sites = find_sensitive_sites(artifact.module, artifact.metadata.sensitive_set)
+    metrics, unreachable = flow_metrics(program_graph(artifact), sites)
+    diagnostics = [
+        Diagnostic(
+            PASS_NAME,
+            "unreachable-site",
+            "warning",
+            "no legitimate call chain reaches this %s callsite under "
+            "the emitted control-flow context" % syscall,
+            func=func_name,
+            index=index,
+            syscall=syscall,
+        )
+        for (func_name, index), syscall in unreachable
+    ]
     return diagnostics, metrics
 
 
@@ -135,19 +176,9 @@ def compile_policy(artifact, module=None):
     structure are identical across instrumentation, so the policy is
     interchangeable; the zero-false-kill tests pin that).
     """
-    module = module if module is not None else artifact.module
     metadata = artifact.metadata
-    functions = {
-        name: FlowFunction(fid=name, symbol=name, instrs=tuple(fn.body))
-        for name, fn in module.functions.items()
-    }
-    graph = build_transition_graph(
-        functions,
-        entry=metadata.entry,
-        resolve_callee=lambda name: name if name in functions else None,
-        indirect_targets=tuple(metadata.address_taken),
-        thread_entries=tuple(metadata.thread_entries),
-    )
+    graph = program_graph(artifact, module)
+    flow = build_transition_graph(graph)
     call_kinds = {
         syscall: tuple(k for k in ("direct", "indirect") if entry.get(k))
         for syscall, entry in sorted(metadata.call_types.items())
@@ -157,13 +188,13 @@ def compile_policy(artifact, module=None):
         producer="flowgraph",
         program=metadata.program,
         entry=metadata.entry,
-        presence=graph.nodes,
+        presence=flow.nodes,
         call_kinds=call_kinds,
-        transitions=graph.transitions,
+        transitions=flow.transitions,
         provenance={
             "source": "compiler-metadata",
-            "functions": len(functions),
-            "reachable_functions": len(graph.reachable),
+            "functions": len(graph.functions),
+            "reachable_functions": len(flow.reachable),
             "indirect_targets": len(metadata.address_taken),
             "thread_entries": sorted(metadata.thread_entries),
         },

@@ -34,7 +34,7 @@ from repro.bench.harness import (
     CONFIGS,
     DefenseConfig,
     SIM_HZ,
-    _run_app,
+    run_app,
     run_app_scheduled,
 )
 from repro.compiler.pipeline import BastionCompiler
@@ -257,7 +257,7 @@ def run(
             quantum=quantum,
         )
     else:
-        bench = _run_app(
+        bench = run_app(
             app, config=defense, scale=scale, app_config=app_config, workload=workload
         )
 
@@ -271,7 +271,7 @@ def run(
     ):
         key = (app, scale, app_config)
         if key not in _baseline_cache:
-            _baseline_cache[key] = _run_app(
+            _baseline_cache[key] = run_app(
                 app, config="vanilla", scale=scale, app_config=app_config
             )
         baseline = _baseline_cache[key]

@@ -26,9 +26,9 @@ from repro.kernel.seccomp import (
     SECCOMP_RET_ALLOW,
     SECCOMP_RET_KILL_PROCESS,
     SeccompFilter,
-    build_action_filter,
 )
-from repro.syscalls.table import SYSCALLS, nr_of
+from repro.policy import build_presence_filter
+from repro.syscalls.table import nr_of
 
 
 def used_syscalls(module):
@@ -43,14 +43,8 @@ def used_syscalls(module):
 
 def build_allowlist_filter(module, extra_allowed=()):
     """A KILL-by-default seccomp filter allowing only used syscalls."""
-    allowed = used_syscalls(module) | set(extra_allowed)
-    actions = {
-        entry.nr: SECCOMP_RET_KILL_PROCESS
-        for entry in SYSCALLS
-        if entry.name not in allowed
-    }
-    return build_action_filter(
-        actions, default_action=SECCOMP_RET_ALLOW, label="allowlist"
+    return build_presence_filter(
+        used_syscalls(module) | set(extra_allowed), "allowlist"
     )
 
 

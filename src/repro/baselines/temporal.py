@@ -13,16 +13,10 @@ cannot stop them: NGINX's serving phase must keep ``accept4``/``mprotect``
 those.
 """
 
-from repro.ir.callgraph import build_callgraph
 from repro.baselines.seccomp_filter import used_syscalls
-from repro.compiler.calltype import wrapper_map
+from repro.ir.callgraph import build_callgraph, wrapper_map
 from repro.ir.instructions import Call, Syscall
-from repro.kernel.seccomp import (
-    SECCOMP_RET_ALLOW,
-    SECCOMP_RET_KILL_PROCESS,
-    build_action_filter,
-)
-from repro.syscalls.table import SYSCALLS
+from repro.policy import build_presence_filter
 
 
 def phase_syscalls(module, serving_roots):
@@ -52,15 +46,4 @@ def phase_syscalls(module, serving_roots):
 def build_serving_phase_filter(module, serving_roots):
     """The post-initialization filter: KILL init-only + never-used syscalls."""
     init_only, serving = phase_syscalls(module, serving_roots)
-    actions = {
-        entry.nr: SECCOMP_RET_KILL_PROCESS
-        for entry in SYSCALLS
-        if entry.name not in serving
-    }
-    return (
-        build_action_filter(
-            actions, default_action=SECCOMP_RET_ALLOW, label="temporal-serving"
-        ),
-        init_only,
-        serving,
-    )
+    return build_presence_filter(serving, "temporal-serving"), init_only, serving

@@ -315,43 +315,6 @@ def build_app(app, app_config=None):
     return _module_cache[key]
 
 
-def _warn_deprecated(message):
-    """The harness's single deprecation-warning emission point.
-
-    Every deprecated harness surface funnels through here so the message
-    format, category, and stacklevel stay consistent (and tests can pin
-    "exactly one emission site").  ``stacklevel=3`` attributes the warning
-    to the caller of the deprecated entry point, not to this helper.
-    Removal horizons are documented in docs/fastpath.md.
-    """
-    import warnings
-
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def run_app(app, config="vanilla", scale=1.0, app_config=None, workload=None):
-    """Run one (application, defense configuration) pair to completion.
-
-    Args:
-        app: 'nginx' | 'sqlite' | 'vsftpd'.
-        config: a name from :data:`CONFIGS` or a :class:`DefenseConfig`.
-        scale: workload size multiplier (tests use ~0.1, benches 1.0+).
-        app_config: deprecated here — use :func:`repro.api.run`.
-        workload: deprecated here — use :func:`repro.api.run`.
-
-    Returns:
-        :class:`RunResult`
-    """
-    if app_config is not None or workload is not None:
-        _warn_deprecated(
-            "run_app(app_config=..., workload=...) is deprecated; "
-            "use repro.api.run(app, workload=..., app_config=...) instead"
-        )
-    return _run_app(
-        app, config=config, scale=scale, app_config=app_config, workload=workload
-    )
-
-
 def _prepare(app, defense, app_config):
     """Shared launch plumbing: kernel + env + mechanism + root proc/cpu.
 
@@ -381,8 +344,20 @@ def _attach_monitor_stats(result, monitor, proc):
     result.monitor_stats["seccomp_cache_misses"] = proc.seccomp_cache_misses
 
 
-def _run_app(app, config="vanilla", scale=1.0, app_config=None, workload=None):
-    """Internal, warning-free implementation behind :func:`run_app`."""
+def run_app(app, config="vanilla", scale=1.0, app_config=None, workload=None):
+    """Run one (application, defense configuration) pair to completion.
+
+    Args:
+        app: 'nginx' | 'sqlite' | 'vsftpd'.
+        config: a name from :data:`CONFIGS` or a :class:`DefenseConfig`.
+        scale: workload size multiplier (tests use ~0.1, benches 1.0+).
+        app_config: application build-time configuration override.
+        workload: custom workload object (default: the app's stock
+            workload at ``scale``).
+
+    Returns:
+        :class:`RunResult`
+    """
     defense = CONFIGS[config] if isinstance(config, str) else config
     entry, kernel, monitor, proc, cpu = _prepare(app, defense, app_config)
 

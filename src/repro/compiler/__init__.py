@@ -18,7 +18,7 @@ Stages, mirroring Figure 1:
    all together and computing the Table 5 instrumentation statistics.
 """
 
-from repro.compiler.calltype import CallTypeInfo, analyze_call_types, wrapper_map
+from repro.compiler.calltype import CallTypeInfo, analyze_call_types
 from repro.compiler.cfg import ControlFlowInfo, analyze_control_flow
 from repro.compiler.argint import ArgIntInfo, BindPlan, analyze_argument_integrity
 from repro.compiler.instrument import instrument_module
@@ -33,7 +33,6 @@ from repro.compiler.pipeline import BastionCompiler, BastionArtifact, protect
 __all__ = [
     "CallTypeInfo",
     "analyze_call_types",
-    "wrapper_map",
     "ControlFlowInfo",
     "analyze_control_flow",
     "ArgIntInfo",

@@ -15,29 +15,7 @@ A syscall can be both directly- and indirectly-callable.
 
 from dataclasses import dataclass, field
 
-from repro.ir.instructions import Syscall
-
-
-def wrapper_map(module):
-    """Map each function to the syscall names it wraps.
-
-    A *wrapper* is a function explicitly flagged ``is_wrapper`` (our libc) or
-    whose body is essentially just a ``Syscall`` (it opens with the syscall
-    instruction and has at most three instructions).  Raw ``Syscall``
-    instructions inside other functions are inline direct invocations, not
-    wrappers.
-    """
-    wrappers = {}
-    for func in module.functions.values():
-        names = tuple(
-            instr.name for instr in func.body if isinstance(instr, Syscall)
-        )
-        if not names:
-            continue
-        looks_like_stub = len(func.body) <= 3 and isinstance(func.body[0], Syscall)
-        if func.is_wrapper or looks_like_stub:
-            wrappers[func.name] = names
-    return wrappers
+from repro.ir.callgraph import wrapper_map
 
 
 @dataclass

@@ -7,11 +7,50 @@ Captures exactly what §6.1/§6.2 need:
 - the address-taken set (functions that may be indirect-call targets),
 - syscall sites (both raw ``Syscall`` instructions and, transitively,
   callers of wrapper functions).
+
+It also holds the one definition of a libc syscall *wrapper*: a
+structurally tiny function — a leading ``Syscall`` forwarding the
+parameters, then a return (glibc's thin stubs, see ``repro.apps.libc``).
+The compiler, the baselines and the IR-level analysis passes call
+:func:`wrapper_map`, which also honours the builder's ``is_wrapper``
+hint; binary recovery sees only decoded instruction runs, so it relies
+on :func:`is_structural_wrapper` alone.  One definition keeps the levels
+from drifting on the partition every call-type table builds on.
 """
 
 from dataclasses import dataclass, field
 
 from repro.ir.instructions import Call, CallIndirect, FuncAddr, Syscall
+
+#: longest instruction run still considered a syscall stub
+_WRAPPER_MAX_INSTRS = 3
+
+
+def wrapped_syscalls(body):
+    """Syscall names issued by ``body`` (a function body or decoded run)."""
+    return tuple(instr.name for instr in body if isinstance(instr, Syscall))
+
+
+def is_structural_wrapper(body):
+    """Does ``body`` have the stub shape: lead ``Syscall``, at most three
+    instructions?  This is the hint-free test binary recovery relies on."""
+    return 0 < len(body) <= _WRAPPER_MAX_INSTRS and isinstance(body[0], Syscall)
+
+
+def wrapper_map(module):
+    """Map each wrapper function to the syscall names it wraps.
+
+    A wrapper is a function flagged ``is_wrapper`` (our libc) or one with
+    the stub shape of :func:`is_structural_wrapper`.  Raw ``Syscall``
+    instructions inside other functions are inline direct invocations,
+    not wrappers.
+    """
+    wrappers = {}
+    for func in module.functions.values():
+        names = wrapped_syscalls(func.body)
+        if names and (func.is_wrapper or is_structural_wrapper(func.body)):
+            wrappers[func.name] = names
+    return wrappers
 
 
 @dataclass(frozen=True)

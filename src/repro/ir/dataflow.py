@@ -20,7 +20,7 @@ assigned from function entry, exactly like parameters.
 
 from dataclasses import dataclass, field
 
-from repro.ir.instructions import AddrLocal, Branch, Jump, Label, Var
+from repro.ir.instructions import AddrLocal, Branch, Jump, Label, Ret, Var
 
 
 @dataclass
@@ -39,10 +39,12 @@ class Block:
 class BlockGraph:
     """Basic blocks of one function plus the edges between them."""
 
-    func: object
+    func: object  # the Function, or the bare instruction run, split here
     blocks: list = field(default_factory=list)
     succs: dict = field(default_factory=dict)  # block index -> [block index]
     preds: dict = field(default_factory=dict)  # block index -> [block index]
+    #: blocks control can leave the function from (see build_block_graph)
+    exits: set = field(default_factory=set)
 
     def block_of(self, instr_index):
         """The :class:`Block` containing body position ``instr_index``."""
@@ -67,15 +69,23 @@ class BlockGraph:
         return seen
 
 
-def build_block_graph(func):
-    """Split ``func.body`` into basic blocks and connect them.
+def build_block_graph(code):
+    """Split a function body into basic blocks and connect them.
 
-    Leaders are: position 0, every :class:`Label`, and every instruction
-    following a terminator.  A block falls through to the next one unless it
-    ends in an unconditional transfer (``Jump``/``Ret``).
+    ``code`` is a :class:`~repro.ir.function.Function` or a bare
+    instruction sequence (a run recovered from a binary image).  Leaders
+    are: position 0, every :class:`Label`, and every instruction following
+    a terminator.  A block falls through to the next one unless it ends in
+    an unconditional transfer (``Jump``/``Ret``).
+
+    ``exits`` collects the blocks control can leave the function from: a
+    ``Ret``, falling off the end of the run, or a jump to a label the run
+    does not contain.  A label that appears more than once makes every
+    copy a successor.  Validated IR has neither missing nor repeated
+    labels; recovered runs can have both.
     """
-    body = func.body
-    graph = BlockGraph(func)
+    body = getattr(code, "body", code)
+    graph = BlockGraph(code)
     if not body:
         return graph
 
@@ -86,30 +96,35 @@ def build_block_graph(func):
         if getattr(instr, "is_terminator", False) and idx + 1 < len(body):
             leaders.add(idx + 1)
     starts = sorted(leaders)
+    label_blocks = {}  # label name -> [block index of each copy]
     for bi, start in enumerate(starts):
         end = starts[bi + 1] if bi + 1 < len(starts) else len(body)
         graph.blocks.append(Block(bi, start, end))
-
-    block_at = {}  # body index of a leader -> block index
-    for block in graph.blocks:
-        block_at[block.start] = block.index
-    label_block = {
-        instr.name: block_at[idx]
-        for idx, instr in enumerate(body)
-        if isinstance(instr, Label)
-    }
+        if isinstance(body[start], Label):
+            label_blocks.setdefault(body[start].name, []).append(bi)
 
     for block in graph.blocks:
         last = body[block.end - 1]
         targets = []
         if isinstance(last, Jump):
-            targets.append(label_block[last.label])
+            labels = (last.label,)
         elif isinstance(last, Branch):
-            targets.append(label_block[last.then_label])
-            targets.append(label_block[last.else_label])
+            labels = (last.then_label, last.else_label)
+        else:
+            labels = ()
+        for name in labels:
+            copies = label_blocks.get(name)
+            if copies:
+                targets.extend(copies)
+            else:
+                graph.exits.add(block.index)
+        if isinstance(last, Ret):
+            graph.exits.add(block.index)
         elif not getattr(last, "is_terminator", False):
             if block.index + 1 < len(graph.blocks):
                 targets.append(block.index + 1)
+            else:
+                graph.exits.add(block.index)
         graph.succs[block.index] = targets
         for t in targets:
             graph.preds.setdefault(t, []).append(block.index)

@@ -11,8 +11,7 @@ registry.MechanismSpec` row per mechanism, from which
 :data:`MECHANISM_NAMES`, :func:`defense_for_mechanism`,
 ``bench.harness.CONFIGS``'s baseline slice, ``mechanism_for``, and the
 fuzz oracle's matrix are all derived.  This module re-exports the
-registry surface (and the historical ``_MECHANISM_DEFENSES`` dict, now
-derived) so existing imports keep working.
+registry surface.
 """
 
 from repro.mechanisms.base import (
@@ -27,19 +26,6 @@ from repro.mechanisms.registry import (
     defense_for_mechanism,
     named_defense_configs,
 )
-
-from repro.mechanisms.registry import _ORDER as _REGISTRY_ORDER
-from repro.mechanisms.registry import _REGISTRY
-
-#: deprecated: DefenseConfig kwargs per named non-BASTION mechanism.
-#: Kept as a registry-derived view for old importers; register a
-#: MechanismSpec in repro.mechanisms.registry instead of editing this.
-_MECHANISM_DEFENSES = {
-    name: dict(_REGISTRY[name].defense_kwargs)
-    for name in _REGISTRY_ORDER
-    if _REGISTRY[name].defense_kwargs is not None
-}
-
 from repro.mechanisms.bastion import BastionMechanism
 from repro.mechanisms.baselines import (
     SERVING_ROOTS,

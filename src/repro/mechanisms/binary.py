@@ -38,20 +38,6 @@ from repro.vm.loader import INSTR_STRIDE
 from repro.vm.memory import WORD
 
 
-def build_recovered_filter(source):
-    """KILL-by-default filter over a binary-produced policy's presence.
-
-    Accepts a :class:`~repro.policy.CompiledPolicy`; a raw
-    :class:`~repro.analyze.binary.BinaryRecovery` is still accepted for
-    old callers and compiled on the fly.
-    """
-    if hasattr(source, "reachable_syscalls"):  # a BinaryRecovery
-        from repro.analyze.binary import compile_policy
-
-        source = compile_policy(source)
-    return build_presence_filter(source, label="binary_only")
-
-
 class BinaryOnlyMechanism(ProtectionMechanism):
     """Seccomp allowlist + call-kind checks from binary recovery alone."""
 
@@ -70,7 +56,9 @@ class BinaryOnlyMechanism(ProtectionMechanism):
         policy = policy_for_image(self.image.module)
         self.recovery = recovery
         self.policy = policy
-        kernel.install_seccomp(proc, build_recovered_filter(policy))
+        kernel.install_seccomp(
+            proc, build_presence_filter(policy.presence, "binary_only")
+        )
 
         costs = kernel.costs
         call_kinds = policy.call_kinds

@@ -1,12 +1,9 @@
 """The one registry of named protection mechanisms.
 
-Before this module the registration glue was duplicated four ways: the
-``_MECHANISM_DEFENSES`` dict in ``repro.mechanisms.__init__``, the
-if-chain in ``mechanism_for``, hand-written ``DefenseConfig`` literals in
-``bench.harness.CONFIGS``, and the fuzz oracle's hand-written mechanism
-tuple.  A mechanism added to one list and forgotten in another silently
-escaped fuzzing or the API.  Now every named mechanism is one
-:class:`MechanismSpec` row here, and
+Every named mechanism is one :class:`MechanismSpec` row here — no
+per-mechanism dict, if-chain or hand-written ``DefenseConfig`` literal
+elsewhere, so a mechanism cannot be registered in one place and
+forgotten in another — and
 
 - :data:`MECHANISM_NAMES` (the ``repro.api`` surface),
 - :func:`defense_for_mechanism` / :func:`named_defense_configs`

@@ -89,7 +89,7 @@ class SfipMechanism(ProtectionMechanism):
         policy = sfip_policy_for(app, module)
         self.policy = policy
         kernel.install_seccomp(
-            proc, build_presence_filter(policy, label=self.reason)
+            proc, build_presence_filter(policy.presence, self.reason)
         )
 
         # precomputed {prev: {next: frozenset(origins)}} probe table

@@ -29,13 +29,13 @@ from repro.policy.artifact import (
     build_presence_filter,
     policy_json,
 )
-from repro.policy.flow import FlowFunction, build_transition_graph
+from repro.policy.flow import ProgramGraph, build_transition_graph
 
 __all__ = [
     "SCHEMA",
     "START",
     "CompiledPolicy",
-    "FlowFunction",
+    "ProgramGraph",
     "build_presence_filter",
     "build_transition_graph",
     "policy_json",

@@ -142,12 +142,14 @@ def policy_json(policy):
     return json.dumps(policy.to_payload(), indent=2, sort_keys=True)
 
 
-def build_presence_filter(policy, label=None):
-    """KILL-by-default seccomp filter over the policy's presence table.
+def build_presence_filter(syscalls, label):
+    """KILL-by-default seccomp filter allowing only the named ``syscalls``.
 
-    The filtering half of flow-integrity protection: anything outside the
-    presence set dies in-kernel before the transition check ever runs.
-    Shared by the ``binary_only`` and ``sfip`` mechanisms.
+    The one allowlist builder: the ``sfip`` and ``binary_only``
+    mechanisms pass a policy's presence table (anything outside it dies
+    in-kernel before the transition check ever runs), the
+    ``seccomp_allowlist`` and ``temporal`` baselines the syscalls their
+    own analyses collect.  ``label`` names the filter in kill records.
     """
     from repro.kernel.seccomp import (
         SECCOMP_RET_ALLOW,
@@ -156,14 +158,12 @@ def build_presence_filter(policy, label=None):
     )
     from repro.syscalls.table import SYSCALLS
 
-    allowed = set(policy.presence)
+    allowed = set(syscalls)
     actions = {
         entry.nr: SECCOMP_RET_KILL_PROCESS
         for entry in SYSCALLS
         if entry.name not in allowed
     }
     return build_action_filter(
-        actions,
-        default_action=SECCOMP_RET_ALLOW,
-        label=label or policy.producer,
+        actions, default_action=SECCOMP_RET_ALLOW, label=label
     )

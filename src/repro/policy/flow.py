@@ -1,14 +1,20 @@
-"""The shared syscall-transition-flow engine (SFIP's static extraction).
+"""The program graph both policy producers build, and the transition engine.
 
 Both policy producers — the metadata-driven flowgraph pass and the
-metadata-free binary analyzer — reduce their program view to the same
-shape: a set of :class:`FlowFunction` records (a flat instruction run per
-function) plus an entry point, the indirect-call target set, and the
-thread-entry set.  :func:`build_transition_graph` then runs one
-compositional interprocedural dataflow over that shape:
+metadata-free binary analyzer — reduce their program view to one
+:class:`ProgramGraph`: the functions (a flat instruction run each), the
+entry point, the thread entries, the address-taken set, a callee
+resolver, the direct caller edges and the indirect-callsite count.
+:func:`repro.analyze.flowgraph.program_graph` builds it from module IR
+plus compiler metadata, :func:`repro.analyze.binary.program_graph` from
+a recovered image.  Chain counting
+(:class:`repro.analyze.flowgraph.ChainCounter`) and
+:func:`build_transition_graph` then run over either.
 
-- per function, a CFG is rebuilt from the flat run (``Label`` leaders,
-  ``Jump``/``Branch``/``Ret`` terminators, fallthrough otherwise);
+The transition engine is one compositional interprocedural dataflow:
+
+- per function, a CFG is rebuilt from the flat run by
+  :func:`repro.ir.dataflow.build_block_graph`;
 - the block state is the set of syscalls that can be the *last one
   issued* at that point (plus a bottom token for "none yet since
   function entry");
@@ -36,101 +42,85 @@ adds ``clone -> first(thread_entry)`` edges rather than modelling child
 streams separately.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.ir.instructions import (
-    Branch,
-    Call,
-    CallIndirect,
-    Jump,
-    Label,
-    Ret,
-    Syscall,
-)
+from repro.ir.dataflow import build_block_graph
+from repro.ir.instructions import Call, CallIndirect, Syscall
 
 #: block-state token for "no syscall issued yet since function entry"
 _BOT = None
 
 
 @dataclass(frozen=True)
-class FlowFunction:
-    """One function as the flow engine sees it.
+class ProgramGraph:
+    """One program's call graph and code, as both policy producers see it.
 
-    ``fid`` is any hashable identity (the symbol name for IR functions,
-    the base address for recovered binary runs); ``symbol`` is the
-    presentation name used for origin annotations — it must match what
-    ``image.func_containing`` returns at runtime for origin enforcement
-    to line up.
+    A *fid* is any hashable function identity: the symbol name for IR
+    functions, the base address for recovered binary runs.
     """
 
-    fid: object
-    symbol: str
-    instrs: tuple
+    #: fid -> (symbol, instruction run); the symbol is the presentation
+    #: name used for origin annotations — it must match what
+    #: ``image.func_containing`` returns at runtime for origin
+    #: enforcement to line up
+    functions: dict
+    entry: object
+    #: fids a clone()d child can start at; ``None`` when the producer has
+    #: no thread-entry records (a stripped binary).  The transition
+    #: engine then treats every address-taken function as a potential
+    #: start routine, while chain counting roots at the entry alone.
+    thread_entries: tuple
+    #: fids any indirect callsite may reach
+    address_taken: tuple
+    #: direct-call operand name -> fid, or None when unresolvable
+    resolve: object
+    #: callee fid -> caller fid per legitimate direct callsite
+    callers: dict = field(default_factory=dict)
+    #: number of legitimate indirect callsites
+    indirect_sites: int = 0
+
+    @property
+    def spawn_entries(self):
+        """The fids the transition engine treats as thread entries."""
+        if self.thread_entries is None:
+            return self.address_taken
+        return self.thread_entries
 
 
-class _FuncFlow:
-    """Preprocessed per-function CFG: blocks of events + successor ids."""
+def _flow_blocks(instrs, resolve, indirect_targets):
+    """One function's ``(blocks, direct callees, has indirect call)``.
 
-    __slots__ = ("blocks", "direct_callees", "has_indirect")
-
-    def __init__(self, func, resolve_callee, indirect_targets):
-        instrs = func.instrs
-        n = len(instrs)
-        leaders = {0}
-        labels = {}  # label name -> [instr index of the Label]
-        for i, ins in enumerate(instrs):
-            if isinstance(ins, Label):
-                leaders.add(i)
-                labels.setdefault(ins.name, []).append(i)
-            elif ins.is_terminator and i + 1 < n:
-                leaders.add(i + 1)
-        ordered = sorted(leaders) if n else []
-        block_of = {}
-        for bid, start in enumerate(ordered):
-            stop = ordered[bid + 1] if bid + 1 < len(ordered) else n
-            for i in range(start, stop):
-                block_of[i] = bid
-
-        self.direct_callees = set()
-        self.has_indirect = False
-        self.blocks = []  # (events, successor bids, is_exit)
-        for bid, start in enumerate(ordered):
-            stop = ordered[bid + 1] if bid + 1 < len(ordered) else n
-            events = []
-            for ins in instrs[start:stop]:
-                if isinstance(ins, Syscall):
-                    events.append(("sys", ins.name))
-                elif isinstance(ins, Call):
-                    callee = resolve_callee(ins.callee)
-                    if callee is not None:
-                        self.direct_callees.add(callee)
-                        events.append(("call", (callee,)))
-                    else:
-                        # unresolvable target: a syscall-free pass-through
-                        events.append(("call", ()))
-                elif isinstance(ins, CallIndirect):
-                    self.has_indirect = True
-                    events.append(("call", tuple(indirect_targets)))
-            last = instrs[stop - 1]
-            succs = []
-            is_exit = False
-            if isinstance(last, Ret):
-                is_exit = True
-            elif isinstance(last, Jump):
-                targets = labels.get(last.label, ())
-                succs = [block_of[i] for i in targets]
-                is_exit = not targets
-            elif isinstance(last, Branch):
-                targets = list(labels.get(last.then_label, ())) + list(
-                    labels.get(last.else_label, ())
-                )
-                succs = [block_of[i] for i in targets]
-                is_exit = len(targets) < 2
-            elif bid + 1 < len(ordered):
-                succs = [bid + 1]
-            else:
-                is_exit = True  # fell off the end of the run
-            self.blocks.append((tuple(events), tuple(sorted(set(succs))), is_exit))
+    Each block is ``(events, successor block ids, is_exit)``; an event is
+    ``("sys", name)`` or ``("call", callee fids)``.
+    """
+    graph = build_block_graph(instrs)
+    callees = set()
+    has_indirect = False
+    blocks = []
+    for block in graph.blocks:
+        events = []
+        for ins in instrs[block.start:block.end]:
+            if isinstance(ins, Syscall):
+                events.append(("sys", ins.name))
+            elif isinstance(ins, Call):
+                callee = resolve(ins.callee)
+                if callee is not None:
+                    callees.add(callee)
+                    events.append(("call", (callee,)))
+                else:
+                    # unresolvable target: a syscall-free pass-through
+                    events.append(("call", ()))
+            elif isinstance(ins, CallIndirect):
+                has_indirect = True
+                events.append(("call", indirect_targets))
+        blocks.append(
+            (
+                tuple(events),
+                tuple(graph.succs[block.index]),
+                block.index in graph.exits,
+            )
+        )
+    return blocks, callees, has_indirect
 
 
 @dataclass
@@ -146,25 +136,16 @@ class TransitionGraph:
     reachable: frozenset
 
 
-def build_transition_graph(
-    functions,
-    entry,
-    resolve_callee,
-    indirect_targets=(),
-    thread_entries=(),
-):
-    """Run the interprocedural flow fixpoint; see the module docstring.
-
-    ``functions`` maps fid -> :class:`FlowFunction`; ``resolve_callee``
-    maps a direct-call operand name to a fid (or None); ``entry`` and
-    ``thread_entries`` are fids; ``indirect_targets`` are the fids any
-    indirect callsite may reach.
-    """
-    indirect_targets = tuple(t for t in indirect_targets if t in functions)
-    thread_entries = tuple(t for t in thread_entries if t in functions)
+def build_transition_graph(program):
+    """Run the interprocedural flow fixpoint over a :class:`ProgramGraph`;
+    see the module docstring."""
+    functions = program.functions
+    entry = program.entry
+    indirect_targets = tuple(t for t in program.address_taken if t in functions)
+    thread_entries = tuple(t for t in program.spawn_entries if t in functions)
 
     def resolver(name):
-        fid = resolve_callee(name)
+        fid = program.resolve(name)
         return fid if fid in functions else None
 
     flows = {}
@@ -172,7 +153,7 @@ def build_transition_graph(
     def flow_of(fid):
         flow = flows.get(fid)
         if flow is None:
-            flow = _FuncFlow(functions[fid], resolver, indirect_targets)
+            flow = _flow_blocks(functions[fid][1], resolver, indirect_targets)
             flows[fid] = flow
         return flow
 
@@ -184,9 +165,9 @@ def build_transition_graph(
         if fid in reachable or fid not in functions:
             continue
         reachable.add(fid)
-        flow = flow_of(fid)
-        queue.extend(flow.direct_callees)
-        if flow.has_indirect:
+        _blocks, callees, has_indirect = flow_of(fid)
+        queue.extend(callees)
+        if has_indirect:
             queue.extend(indirect_targets)
 
     # -- global summary fixpoint ----------------------------------------
@@ -204,31 +185,31 @@ def build_transition_graph(
 
     def analyze(fid):
         """One per-function block fixpoint; True if anything grew."""
-        func = functions[fid]
-        flow = flow_of(fid)
+        symbol = functions[fid][0]
+        blocks = flow_of(fid)[0]
         changed = False
-        if not flow.blocks:
+        if not blocks:
             if not empty[fid]:
                 empty[fid] = True
                 changed = True
             return changed
-        block_in = [set() for _ in flow.blocks]
+        block_in = [set() for _ in blocks]
         block_in[0].add(_BOT)
         work = [0]
         while work:
             bid = work.pop()
-            events, succs, is_exit = flow.blocks[bid]
+            events, succs, is_exit = blocks[bid]
             state = set(block_in[bid])
             for event in events:
                 if event[0] == "sys":
                     name = event[1]
                     for token in state:
                         if token is _BOT:
-                            if (name, func.symbol) not in first[fid]:
-                                first[fid].add((name, func.symbol))
+                            if (name, symbol) not in first[fid]:
+                                first[fid].add((name, symbol))
                                 changed = True
                         else:
-                            changed |= record(token, name, func.symbol)
+                            changed |= record(token, name, symbol)
                     state = {name}
                 else:
                     callees = [c for c in event[1] if c in reachable]
@@ -266,7 +247,7 @@ def build_transition_graph(
                     work.append(succ)
         return changed
 
-    ordered = sorted(reachable, key=lambda fid: functions[fid].symbol)
+    ordered = sorted(reachable, key=lambda fid: functions[fid][0])
     while True:
         grew = False
         for fid in ordered:

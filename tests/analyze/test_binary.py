@@ -104,11 +104,25 @@ class TestReachabilityTightening:
         assert len(waived) == len(diagnostics)
 
 
+def _flow_metrics(app, producer):
+    """Flow metrics over one producer's program graph of ``app``."""
+    from repro.analyze.flowgraph import analyze_flow
+
+    artifact = _artifact(app)
+    if producer == "flowgraph":
+        return analyze_flow(artifact)[1]
+    return recovered_flow_metrics(recover_image_for(artifact.module))
+
+
+FLOW_CASES = [pytest.param(app, "binary", id=app) for app in APPS] + [
+    pytest.param(app, "flowgraph", id="%s-flowgraph" % app) for app in APPS
+]
+
+
 class TestRecoveredFlow:
-    @pytest.mark.parametrize("app", APPS)
-    def test_flow_metrics_shape(self, app):
-        recovery = recover_image_for(_artifact(app).module)
-        metrics = recovered_flow_metrics(recovery)
+    @pytest.mark.parametrize("app, producer", FLOW_CASES)
+    def test_flow_metrics_shape(self, app, producer):
+        metrics = _flow_metrics(app, producer)
         assert set(metrics) == {
             "sensitive_sites",
             "chains",

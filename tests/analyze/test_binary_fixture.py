@@ -2,14 +2,18 @@
 dead code the binary analyzer tightens away (and the mechanism enforces)."""
 
 from repro.analyze import analyze_artifact
-from repro.analyze.binary import audit_binary, recover_image_for
+from repro.analyze.binary import (
+    audit_binary,
+    compile_policy,
+    recover_image_for,
+)
 from repro.baselines.seccomp_filter import build_allowlist_filter
 from repro.kernel.seccomp import (
     SECCOMP_RET_ALLOW,
     SECCOMP_RET_KILL_PROCESS,
     evaluate_filters,
 )
-from repro.mechanisms.binary import build_recovered_filter
+from repro.policy import build_presence_filter
 from repro.syscalls.table import nr_of
 from tests.analyze.fixtures.overpermissive_app import (
     FIXTURE_NAME,
@@ -50,7 +54,9 @@ def test_recovered_filter_kills_what_the_allowlist_admits():
     assert recovery.reachable_syscalls == {"write"}
 
     presence = build_allowlist_filter(artifact.module)
-    recovered = build_recovered_filter(recovery)
+    recovered = build_presence_filter(
+        compile_policy(recovery).presence, "binary_only"
+    )
     chmod = nr_of("chmod")
     write = nr_of("write")
     assert evaluate_filters([presence], chmod)[0] == SECCOMP_RET_ALLOW

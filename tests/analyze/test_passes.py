@@ -8,7 +8,7 @@ the same discipline the broken fixture app enforces end-to-end.
 
 from repro.analyze import analyze_artifact
 from repro.analyze.calltypes import recompute_call_types
-from repro.analyze.flowgraph import ChainCounter, reachable_args
+from repro.analyze.flowgraph import ChainCounter, program_graph, reachable_args
 from repro.compiler.pipeline import BastionCompiler
 from repro.compiler.metadata import ArgBindingMeta, SiteKey
 from repro.ir.builder import ModuleBuilder
@@ -257,7 +257,7 @@ class TestFlow:
     def test_chain_counter_roots_at_thread_entries(self):
         artifact = single_wrapper_app()
         artifact.metadata.thread_entries = ("main",)  # idempotent: main is root
-        counter = ChainCounter(artifact.metadata)
+        counter = ChainCounter(program_graph(artifact))
         assert counter.chains_to("main") == 1
 
 

@@ -1,8 +1,8 @@
 """Tests for the call-type context analysis (§6.1)."""
 
-from repro.compiler.calltype import analyze_call_types, wrapper_map
+from repro.compiler.calltype import analyze_call_types
 from repro.ir.builder import ModuleBuilder
-from repro.ir.callgraph import build_callgraph
+from repro.ir.callgraph import build_callgraph, wrapper_map
 from tests.conftest import make_wrapper
 
 

@@ -9,6 +9,7 @@ from repro.ir.dataflow import (
     definitely_assigned,
     dominators,
 )
+from repro.ir.instructions import Branch, Const, Imm, Jump, Label, Ret, Syscall
 
 
 def _func(module, name="main"):
@@ -89,6 +90,55 @@ class TestBlockGraph:
         graph = build_block_graph(_func(mb.build()))
         island = graph.block_of(2).index
         assert island not in graph.reachable()
+
+    def test_ret_blocks_are_exits(self):
+        mb = ModuleBuilder("m")
+        f = mb.function("main", params=["c"])
+        f.branch(f.p("c"), "a", "b")
+        f.label("a")
+        f.ret(0)
+        f.label("b")
+        f.ret(1)
+        graph = build_block_graph(_func(mb.build()))
+        assert graph.exits == {1, 2}
+
+
+class TestBareRuns:
+    """Instruction runs recovered from a binary image carry no validation:
+    a jump may leave the run, and merged functions may repeat a label."""
+
+    def test_jump_outside_run_is_an_exit(self):
+        run = (
+            Syscall("r", "getpid", []),
+            Jump("elsewhere"),
+            Label("tail"),
+            Const("x", 1),
+        )
+        graph = build_block_graph(run)
+        assert graph.func is run
+        assert len(graph.blocks) == 2
+        assert graph.succs[0] == []
+        assert graph.exits == {0, 1}  # block 1 falls off the end of the run
+
+    def test_branch_with_missing_label_keeps_the_other_target(self):
+        run = (Branch(Imm(1), "gone", "here"), Label("here"), Ret())
+        graph = build_block_graph(run)
+        assert graph.succs[0] == [1]
+        assert 0 in graph.exits
+
+    def test_repeated_label_makes_every_copy_a_successor(self):
+        run = (
+            Jump("again"),
+            Label("again"),
+            Const("x", 1),
+            Ret(),
+            Label("again"),
+            Ret(),
+        )
+        graph = build_block_graph(run)
+        assert graph.succs[0] == [1, 2]
+        assert graph.preds[1] == [0] and graph.preds[2] == [0]
+        assert graph.exits == {1, 2}
 
 
 class TestDominators:

@@ -1,7 +1,8 @@
 """The transition-flow engine and the CompiledPolicy artifact.
 
-Engine tests drive :func:`build_transition_graph` directly over
-hand-built IR (the same shape both producers feed it); artifact tests
+Engine tests drive :func:`build_transition_graph` directly over a
+:class:`ProgramGraph` of hand-built IR (the shape both producers build);
+artifact tests
 pin the byte-stable serialization contract the precision fixtures rely
 on.
 """
@@ -14,7 +15,7 @@ from repro.ir.builder import ModuleBuilder
 from repro.policy import (
     START,
     CompiledPolicy,
-    FlowFunction,
+    ProgramGraph,
     build_presence_filter,
     build_transition_graph,
     policy_json,
@@ -25,15 +26,16 @@ from tests.conftest import make_wrapper
 def graph_of(mb, entry="main", indirect=(), threads=()):
     module = mb.build()
     functions = {
-        name: FlowFunction(fid=name, symbol=name, instrs=tuple(fn.body))
-        for name, fn in module.functions.items()
+        name: (name, tuple(fn.body)) for name, fn in module.functions.items()
     }
     return build_transition_graph(
-        functions,
-        entry=entry,
-        resolve_callee=lambda n: n if n in functions else None,
-        indirect_targets=indirect,
-        thread_entries=threads,
+        ProgramGraph(
+            functions=functions,
+            entry=entry,
+            thread_entries=threads,
+            address_taken=indirect,
+            resolve=lambda n: n if n in functions else None,
+        )
     )
 
 
@@ -317,7 +319,7 @@ class TestCompiledPolicy:
         )
         from repro.syscalls.table import nr_of
 
-        filt = build_presence_filter(self._policy(), label="sfip")
+        filt = build_presence_filter(self._policy().presence, "sfip")
         assert evaluate_filters([filt], nr_of("open"))[0] == SECCOMP_RET_ALLOW
         assert evaluate_filters([filt], nr_of("read"))[0] == SECCOMP_RET_ALLOW
         assert (

@@ -1,14 +1,12 @@
 """Tests for the stable public API surface (repro.api)."""
 
-import warnings
-
 import pytest
 
 import repro
 from repro import api
 from repro.api import ProtectConfig, RunResult, protect, run
 from repro.apps.nginx import build_nginx
-from repro.bench.harness import CONFIGS, run_app
+from repro.bench.harness import CONFIGS
 from repro.apps.workloads import WrkWorkload
 from repro.errors import ProcessKilled
 from repro.monitor.monitor import SyscallIntegrityViolation
@@ -141,7 +139,7 @@ class TestViolationException:
 
     def test_raise_on_violation(self, monkeypatch):
         violation = Violation("control-flow", "mprotect", "bad edge", 0x44)
-        real = api._run_app
+        real = api.run_app
 
         def violating(app, **kwargs):
             result = real(app, **kwargs)
@@ -149,7 +147,7 @@ class TestViolationException:
                 result.violations = [violation]
             return result
 
-        monkeypatch.setattr(api, "_run_app", violating)
+        monkeypatch.setattr(api, "run_app", violating)
         with pytest.raises(SyscallIntegrityViolation) as excinfo:
             run("nginx", scale=SCALE, raise_on_violation=True)
         assert excinfo.value.violation is violation
@@ -186,7 +184,7 @@ class TestMechanismSelector:
             scale=SCALE,
             compare_baseline=False,
         )
-        via_configs = api._run_app("nginx", config=name, scale=SCALE)
+        via_configs = api.run_app("nginx", config=name, scale=SCALE)
         assert via_api.total_cycles == via_configs.total_cycles
         assert via_api.syscall_counts == via_configs.syscall_counts
         assert via_api.violations == list(via_configs.violations)
@@ -222,41 +220,3 @@ class TestRunResultStages:
         assert result.stages.get("seccomp", 0) > 0
         # the monitor's verify sub-stages ride on the same bus
         assert any(key.startswith("verify") for key in result.stages)
-
-
-class TestRunAppDeprecation:
-    def test_workload_kwarg_warns(self):
-        workload = WrkWorkload(connections=2, requests_per_connection=2)
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            run_app("nginx", "vanilla", workload=workload)
-
-    def test_plain_calls_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_app("nginx", "vanilla", scale=SCALE)
-
-    def test_warning_attributed_to_caller(self):
-        """The shared emission helper uses stacklevel so the warning
-        points at the deprecated call site, not at the harness."""
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always", DeprecationWarning)
-            workload = WrkWorkload(connections=2, requests_per_connection=2)
-            run_app("nginx", "vanilla", workload=workload)
-        assert len(captured) == 1
-        assert captured[0].filename == __file__
-
-    def test_single_emission_point(self, monkeypatch):
-        """Every deprecated harness surface funnels through
-        _warn_deprecated — patching it silences the warning."""
-        from repro.bench import harness
-
-        calls = []
-        monkeypatch.setattr(
-            harness, "_warn_deprecated", lambda message: calls.append(message)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            workload = WrkWorkload(connections=2, requests_per_connection=2)
-            run_app("nginx", "vanilla", workload=workload)
-        assert len(calls) == 1
-        assert "repro.api.run" in calls[0]
