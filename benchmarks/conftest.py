@@ -5,7 +5,7 @@ workload scale (``BENCH_SCALE``) and asserts the paper's *shape*: which
 configuration wins, roughly by how much, and where the crossovers fall.
 Absolute simulated numbers are reported for EXPERIMENTS.md.
 
-Run with ``pytest benchmarks/ --benchmark-only``.
+Run with ``PYTHONPATH=src:. python -m pytest benchmarks --ignore=benchmarks/e2e``.
 """
 
 import pytest

@@ -43,10 +43,3 @@ def test_sockaddr_fastpath_no_false_positives():
     for app in ("nginx", "vsftpd"):
         result = run_app(app, "cet_ct_cf_ai", scale=0.1)
         assert not result.violations, (app, result.violations[:1])
-
-
-def test_ablation_benchmark(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_app("nginx", "dfi", scale=0.1), iterations=1, rounds=2
-    )
-    assert result.ok

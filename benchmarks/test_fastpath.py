@@ -38,12 +38,3 @@ def test_seccomp_action_cache_engages(cache_rows):
     """Always-ALLOW syscalls skip the BPF engine on every config."""
     for app, row in cache_rows.items():
         assert row["seccomp_cache_hits"] > 0, (app, row)
-
-
-def test_fastpath_benchmark(benchmark):
-    rows = benchmark.pedantic(
-        lambda: ablation_cache(0.2), iterations=1, rounds=2
-    )
-    assert rows["nginx"]["cache_on_overhead_pct"] <= rows["nginx"][
-        "cache_off_overhead_pct"
-    ]

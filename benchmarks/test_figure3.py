@@ -16,7 +16,7 @@ SQLite is the one app where plain LLVM CFI costs more than full BASTION.
 
 import pytest
 
-from repro.bench.harness import FIGURE3_LADDER, run_app
+from repro.bench.harness import FIGURE3_LADDER
 
 
 @pytest.mark.parametrize("app", ("nginx", "sqlite", "vsftpd"))
@@ -53,13 +53,3 @@ def test_figure3_ai_costs_most(sweeps):
         ct_step = sweep.overhead("cet_ct") - sweep.overhead("cet")
         ai_step = sweep.overhead("cet_ct_cf_ai") - sweep.overhead("cet_ct_cf")
         assert ai_step > 0, app
-
-
-def test_figure3_benchmark_nginx_full(benchmark):
-    """pytest-benchmark hook: wall time of one protected NGINX run."""
-    result = benchmark.pedantic(
-        lambda: run_app("nginx", "cet_ct_cf_ai", scale=0.1),
-        iterations=1,
-        rounds=3,
-    )
-    assert result.ok

@@ -8,7 +8,7 @@ baseline throughput and the ordering matches the overhead ladder.
 
 import pytest
 
-from repro.bench.harness import FIGURE3_LADDER, run_app
+from repro.bench.harness import FIGURE3_LADDER
 
 
 @pytest.mark.parametrize("app", ("nginx", "sqlite", "vsftpd"))
@@ -42,10 +42,3 @@ def test_table3_ordering_matches_overheads(sweeps):
     sweep = sweeps["nginx"]
     metrics = [sweep.raw_metric(c) for c in ("cet", "cet_ct", "cet_ct_cf", "cet_ct_cf_ai")]
     assert metrics == sorted(metrics, reverse=True)
-
-
-def test_table3_benchmark_vanilla_nginx(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_app("nginx", "vanilla", scale=0.1), iterations=1, rounds=3
-    )
-    assert result.throughput_mbps() > 0

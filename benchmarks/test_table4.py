@@ -14,7 +14,7 @@ from benchmarks.conftest import BENCH_SCALE
 
 
 @pytest.fixture(scope="module")
-def data(benchmark_disabled=None):
+def data():
     return table4(BENCH_SCALE)
 
 
@@ -71,14 +71,3 @@ def test_call_depth_statistics(data):
     nginx = depths["nginx"]
     assert 2 <= nginx["avg_depth"] <= 8
     assert nginx["max_depth"] <= 12
-
-
-def test_table4_benchmark(benchmark):
-    from repro.bench.harness import run_app
-
-    result = benchmark.pedantic(
-        lambda: run_app("vsftpd", "cet_ct_cf_ai", scale=0.3),
-        iterations=1,
-        rounds=2,
-    )
-    assert result.hook_total > 0

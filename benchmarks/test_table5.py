@@ -9,8 +9,6 @@ instrumentation mix.
 import pytest
 
 from repro.bench.experiments import table5
-from repro.bench.harness import build_app
-from repro.compiler.pipeline import BastionCompiler
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +48,3 @@ def test_instrumentation_counts_consistent(stats):
         assert row["total_instrumentation"] == (
             row["ctx_write_mem"] + row["ctx_bind_mem"] + row["ctx_bind_const"]
         )
-
-
-def test_table5_benchmark_compile_time(benchmark):
-    """How long the full BASTION compile of NGINX takes (wall time)."""
-    module = build_app("nginx")
-    artifact = benchmark(lambda: BastionCompiler().compile(module))
-    assert artifact.metadata.stats["total_instrumentation"] > 0

@@ -5,8 +5,7 @@ context.  The verdict matrix must match the paper row for row.
 
 import pytest
 
-from repro.attacks.catalog import CATALOG
-from repro.attacks.runner import evaluate_attack, table6_matrix
+from repro.attacks.runner import table6_matrix
 
 
 @pytest.fixture(scope="module")
@@ -46,11 +45,3 @@ def test_ai_blocks_everything(matrix):
     """In the paper's Table 6 the AI column is ✓ on every row."""
     for evaluation in matrix:
         assert evaluation.blocks("AI"), evaluation.spec.name
-
-
-def test_table6_benchmark(benchmark):
-    """Wall time of one full attack evaluation (5 runs of the scenario)."""
-    evaluation = benchmark.pedantic(
-        lambda: evaluate_attack(CATALOG[0]), iterations=1, rounds=3
-    )
-    assert evaluation.valid

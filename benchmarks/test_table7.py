@@ -63,12 +63,3 @@ def test_ptrace_dominates_ledger(table7_data):
     ptrace = breakdown.get("ptrace", 0)
     total = sum(breakdown.values())
     assert ptrace > 0.4 * total
-
-
-def test_table7_benchmark(benchmark):
-    from repro.bench.harness import run_app
-
-    result = benchmark.pedantic(
-        lambda: run_app("sqlite", "fs_full", scale=0.1), iterations=1, rounds=2
-    )
-    assert result.ok

@@ -70,7 +70,8 @@ def main():
 
     print("\n=== benign run under the monitor ===")
     status, monitor = launch(artifact)
-    print("exit:", status.kind, "| hooks:", monitor.hook_counts, "| violations:", len(monitor.violations))
+    print("exit:", status.kind, "| hooks:", monitor.stats.hook_counts,
+          "| violations:", len(monitor.violations))
 
     print("\n=== attacked run: corrupt 'prot' to PROT_RWX before the call ===")
 

@@ -107,7 +107,8 @@ def main():
     kernel = environment()
     proc, cpu = monitor.launch(kernel)
     status = cpu.run()
-    print("exit:", status.kind, "| hooks:", monitor.hook_counts, "| violations:", len(monitor.violations))
+    print("exit:", status.kind, "| hooks:", monitor.stats.hook_counts,
+          "| violations:", len(monitor.violations))
 
     print("\n=== 4. protected, attacked: swap the upgrade binary in place ===")
     monitor = BastionMonitor(artifact, policy=ContextPolicy.full())

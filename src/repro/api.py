@@ -23,9 +23,8 @@ Usage::
     result = run("nginx", ProtectConfig(mechanism="seccomp_allowlist"))
     print(result.stages)  # per-stage cycle attribution
 
-:func:`bench` measures the pinned performance-trajectory matrix and
-returns exactly the records ``BENCH_<pr>.json`` serializes (see
-``docs/perf.md``).
+Host wall-clock time is measured outside the library, by the seeded
+benchmark in ``benchmarks/e2e`` (see ``docs/perf.md``).
 """
 
 from dataclasses import dataclass, field
@@ -298,45 +297,6 @@ def run(
         bench=bench,
         baseline=baseline,
     )
-
-
-def bench(
-    *,
-    workers=None,
-    configs=None,
-    scale=None,
-    clock=None,
-    calibration=None,
-):
-    """Measure the pinned performance-trajectory matrix.
-
-    Returns the list of per-cell records that ``BENCH_<pr>.json``
-    serializes (``python -m repro.bench trajectory`` — see docs/perf.md):
-    deterministic cycle fields plus the spin-calibrated ``wall_index``.
-
-    Args:
-        workers: worker counts to sweep (default: the pinned matrix).
-        configs: config names from ``bench.harness.CONFIGS`` or
-            :class:`ProtectConfig` / DefenseConfig objects (default: the
-            pinned matrix).
-        scale: workload scale (default: the pinned trajectory scale).
-        clock: injectable timer (tests); defaults to CPU process time.
-        calibration: seconds-per-spin override (tests).
-    """
-    from repro.bench import trajectory
-
-    kwargs = {}
-    if workers is not None:
-        kwargs["workers"] = tuple(workers)
-    if configs is not None:
-        kwargs["configs"] = tuple(_resolve_config(c) for c in configs)
-    if scale is not None:
-        kwargs["scale"] = scale
-    if clock is not None:
-        kwargs["clock"] = clock
-    if calibration is not None:
-        kwargs["calibration"] = calibration
-    return trajectory.measure_cells(**kwargs)
 
 
 def analyze(target, config=None, *, waivers=None, strict=False):

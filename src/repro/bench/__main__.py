@@ -1,14 +1,14 @@
 """CLI entry point: ``python -m repro.bench <experiment> [--scale S]``.
 
 Experiments: figure3, table3, table4, table5, table6, table7,
-security_baselines, ablation_cache, ablation_dfi, scheduler, fuzz, all.
+security_baselines, ablation_cache, ablation_dfi, adaptive, analysis,
+binary, scheduler, stages, fuzz, all.
 Ablations can also be selected with ``--ablate cache`` / ``--ablate dfi``.
 
-``trajectory`` is the persisted-performance subcommand (see
-``docs/perf.md``): it measures the pinned nginx+wrk matrix and either
-prints it, emits it as JSON (``--json``), rewrites the committed
-``BENCH_<pr>.json`` (``--write``), or gates against the newest committed
-snapshot (``--check``, the CI regression job).
+Every experiment reports modeled cycles from the deterministic cost
+model; ``scheduler`` is the per-mechanism overhead table under
+concurrent load.  Host wall-clock time is the seeded benchmark's job
+(``BENCHMARK.json``, ``benchmarks/e2e``; see ``docs/perf.md``).
 """
 
 import argparse
@@ -56,7 +56,7 @@ def main(argv=None):
     parser.add_argument(
         "experiment",
         nargs="?",
-        choices=sorted(RENDERERS) + ["all", "trajectory"],
+        choices=sorted(RENDERERS) + ["all"],
         help="which table/figure to regenerate",
     )
     parser.add_argument(
@@ -67,43 +67,16 @@ def main(argv=None):
     parser.add_argument(
         "--scale",
         type=float,
-        default=None,
-        help="workload scale multiplier (smaller = faster, noisier; "
-        "trajectory pins its own default)",
+        default=1.0,
+        help="workload scale multiplier (smaller = faster, noisier)",
     )
     parser.add_argument(
         "--json",
         action="store_true",
-        help="machine-readable output (experiments: %s, trajectory)"
+        help="machine-readable output (experiments: %s)"
         % ", ".join(sorted(_JSON_PAYLOADS)),
     )
-    parser.add_argument(
-        "--write",
-        action="store_true",
-        help="trajectory only: rewrite the committed BENCH_<pr>.json",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="trajectory only: diff against the newest committed "
-        "BENCH_*.json and fail on wall-clock regression",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=5.0,
-        help="trajectory --check: max tolerated wall regression (percent)",
-    )
     args = parser.parse_args(argv)
-
-    if args.experiment == "trajectory":
-        from repro.bench.trajectory import run_cli
-
-        return run_cli(args)
-    if args.write or args.check:
-        parser.error("--write/--check are only for the trajectory subcommand")
-    if args.scale is None:
-        args.scale = 1.0
 
     if args.json:
         payload = _JSON_PAYLOADS.get(args.experiment)

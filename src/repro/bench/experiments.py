@@ -2,7 +2,7 @@
 
 Each function returns plain data structures; :mod:`repro.bench.report`
 renders them as text tables mirroring the paper's layout, and the
-``benchmarks/`` pytest-benchmark suite asserts their shapes.
+``benchmarks/`` pytest suite asserts their shapes.
 """
 
 from dataclasses import dataclass, field
@@ -103,15 +103,24 @@ def table3(scale=1.0):
 # ---------------------------------------------------------------------------
 
 SCHEDULER_WORKERS = (1, 2, 4)
-SCHEDULER_CONFIGS = ("vanilla", "cet_ct_cf_ai")
+#: BASTION vs SFIP vs the filtering baselines: one overhead table
+SCHEDULER_CONFIGS = (
+    "vanilla",
+    "cet_ct_cf_ai",
+    "seccomp_allowlist",
+    "temporal",
+    "debloat",
+    "sfip",
+    "sfip_origin",
+)
 
 
 def scheduler_sweep(scale=1.0, workers=SCHEDULER_WORKERS, configs=SCHEDULER_CONFIGS):
     """Multi-worker NGINX (master + N clone()d workers) under concurrent wrk.
 
-    For each worker count, runs the unprotected and full-BASTION builds on
-    the preemptive scheduler with a fresh :class:`ConcurrentWrkWorkload`
-    (workloads are stateful, so each run gets its own instance).  Returns
+    For each worker count, runs every config on the preemptive scheduler
+    with a fresh :class:`ConcurrentWrkWorkload` (workloads are stateful,
+    so each run gets its own instance).  Returns
     ``{workers: {config: RunResult}}`` with latency percentiles populated.
     """
     from repro.apps.nginx import NginxConfig

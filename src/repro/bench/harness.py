@@ -333,13 +333,14 @@ def _prepare(app, defense, app_config):
 
 
 def _attach_monitor_stats(result, monitor, proc):
-    result.hook_counts = dict(monitor.hook_counts)
-    result.hook_total = monitor.hook_count
+    stats = monitor.stats
+    result.hook_counts = dict(stats.hook_counts)
+    result.hook_total = stats.hooks
     result.violations = list(monitor.violations)
-    result.avg_unwind_depth = monitor.average_unwind_depth
-    result.max_unwind_depth = monitor.max_unwind_depth
+    result.avg_unwind_depth = stats.average_unwind_depth
+    result.max_unwind_depth = stats.max_unwind_depth
     result.metadata_stats = dict(monitor.metadata.stats)
-    result.monitor_stats = monitor.stats.as_dict()
+    result.monitor_stats = stats.as_dict()
     result.monitor_stats["seccomp_cache_hits"] = proc.seccomp_cache_hits
     result.monitor_stats["seccomp_cache_misses"] = proc.seccomp_cache_misses
 

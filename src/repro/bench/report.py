@@ -332,7 +332,7 @@ def render_scheduler(scale=1.0):
         "Scheduler: multi-worker NGINX under concurrent wrk",
         "(master + N clone()d workers, preemptive round-robin)",
         _rule(92),
-        "%-8s %-16s %9s %9s %9s %9s %11s %6s"
+        "%-8s %-18s %9s %9s %9s %9s %11s %6s"
         % ("workers", "config", "p50 (ms)", "p95 (ms)", "p99 (ms)", "mean", "MB/s", "resp"),
         _rule(92),
     ]
@@ -340,7 +340,7 @@ def render_scheduler(scale=1.0):
         for config in SCHEDULER_CONFIGS:
             result = sweep[count][config]
             lines.append(
-                "%-8d %-16s %9.3f %9.3f %9.3f %9.3f %11.2f %6d"
+                "%-8d %-18s %9.3f %9.3f %9.3f %9.3f %11.2f %6d"
                 % (
                     count,
                     _CONFIG_LABELS.get(config, config),

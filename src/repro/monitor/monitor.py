@@ -410,37 +410,11 @@ class BastionMonitor:
     # reporting
     # ------------------------------------------------------------------
 
-    # legacy attribute names kept as views over :class:`MonitorStats`
-
-    @property
-    def hook_count(self):
-        return self.stats.hooks
-
-    @property
-    def hook_counts(self):
-        return self.stats.hook_counts
-
-    @property
-    def max_unwind_depth(self):
-        return self.stats.max_unwind_depth
-
-    @property
-    def unwind_depth_total(self):
-        return self.stats.unwind_depth_total
-
-    @property
-    def unwind_samples(self):
-        return self.stats.unwind_samples
-
-    @property
-    def average_unwind_depth(self):
-        return self.stats.average_unwind_depth
-
     def summary(self):
         lines = [
             "BASTION monitor [%s] for %s"
             % (self.policy.label(), self.metadata.program),
-            "  hooks: %d  violations: %d" % (self.hook_count, len(self.violations)),
+            "  hooks: %d  violations: %d" % (self.stats.hooks, len(self.violations)),
         ]
         if self.cache is not None:
             lines.append(
@@ -452,6 +426,6 @@ class BastionMonitor:
                     self.stats.invalidations,
                 )
             )
-        for name, count in sorted(self.hook_counts.items(), key=lambda kv: -kv[1]):
+        for name, count in sorted(self.stats.hook_counts.items(), key=lambda kv: -kv[1]):
             lines.append("  %-18s %d" % (name, count))
         return "\n".join(lines)

@@ -98,7 +98,7 @@ def test_benign_programs_never_violate(params):
     status = cpu.run()
     assert status.kind == "returned", (status, shapes)
     assert monitor.violations == [], (monitor.violations[:1], shapes)
-    assert monitor.hook_counts.get("mprotect") == 1
+    assert monitor.stats.hook_counts.get("mprotect") == 1
 
 
 @settings(max_examples=20, deadline=None)

@@ -53,3 +53,20 @@ def run_main(body_fn, **kwargs):
     """Build + run a single-function program; returns (status, proc, cpu)."""
     module = build_simple_program(body_fn)
     return run_module(module, **kwargs)
+
+
+def measured_fingerprint(result):
+    """The cycle, latency and syscall fields of a bench ``RunResult``.
+
+    Scheduled runs are deterministic, so a repeated run must reproduce
+    this tuple exactly.
+    """
+    return (
+        result.work_units,
+        result.init_cycles,
+        result.steady_cycles,
+        result.total_cycles,
+        dict(result.latency),
+        dict(result.syscall_counts),
+        dict(result.statuses),
+    )

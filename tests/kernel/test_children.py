@@ -56,9 +56,9 @@ class TestChildExecution:
     def test_child_is_monitored(self):
         """The child's sensitive syscall stops into the same monitor."""
         kernel, monitor, _proc, child, image, region = _launch()
-        before = monitor.hook_counts.get("mprotect", 0)
+        before = monitor.stats.hook_counts.get("mprotect", 0)
         kernel.run_child(child, image, "worker_start", [region])
-        assert monitor.hook_counts["mprotect"] == before + 1
+        assert monitor.stats.hook_counts["mprotect"] == before + 1
         assert monitor.violations == []
 
     def test_child_attack_blocked(self):

@@ -74,13 +74,13 @@ class TestBenignRun:
         status, proc, _cpu, monitor = _launch()
         assert status.kind == "returned"
         assert monitor.violations == []
-        assert monitor.hook_counts == {"mprotect": 1}
+        assert monitor.stats.hook_counts == {"mprotect": 1}
         assert proc.trace_log == [[0]]
 
     def test_unwind_depth_stats(self):
         _s, _p, _c, monitor = _launch()
-        assert monitor.average_unwind_depth >= 2
-        assert monitor.max_unwind_depth >= 2
+        assert monitor.stats.average_unwind_depth >= 2
+        assert monitor.stats.max_unwind_depth >= 2
 
     def test_summary_renders(self):
         _s, _p, _c, monitor = _launch()
@@ -239,7 +239,7 @@ class TestModes:
             policy=ContextPolicy.full().as_hook_only(), hooks={"pre": corrupt}
         )
         assert status.kind == "returned"  # corruption sails through
-        assert monitor.hook_count == 1
+        assert monitor.stats.hooks == 1
         assert monitor.violations == []
 
     def test_fetch_state_reads_but_never_kills(self):
@@ -263,5 +263,5 @@ class TestModes:
     def test_ct_only_unwinds_single_frame(self):
         _s, _p, _c, ct_monitor = _launch(policy=ContextPolicy.ct_only())
         _s2, _p2, _c2, full_monitor = _launch(policy=ContextPolicy.full())
-        assert ct_monitor.max_unwind_depth == 1
-        assert full_monitor.max_unwind_depth > 1
+        assert ct_monitor.stats.max_unwind_depth == 1
+        assert full_monitor.stats.max_unwind_depth > 1

@@ -74,7 +74,7 @@ def _run(quantum, corrupt=False):
 
 def _verdict_fingerprint(monitor, statuses):
     return (
-        dict(monitor.hook_counts),
+        dict(monitor.stats.hook_counts),
         [v.context for v in monitor.violations],
         {pid: status.kind for pid, status in statuses.items()},
         {

@@ -3,6 +3,7 @@
 from repro.apps.nginx import NginxConfig
 from repro.apps.workloads import ConcurrentWrkWorkload
 from repro.bench.harness import run_app_scheduled
+from tests.conftest import measured_fingerprint
 
 REQUESTS = 6 * 4  # connections * requests_per_connection
 
@@ -55,6 +56,21 @@ class TestMultiWorkerNginx:
         )
         assert vanilla.work_units == bastion.work_units
         assert bastion.total_cycles > vanilla.total_cycles
+
+    def test_repeated_run_is_identical(self):
+        """Scheduled runs repeat exactly: cycles, latency and syscalls."""
+
+        def fingerprint():
+            return measured_fingerprint(
+                run_app_scheduled(
+                    "nginx",
+                    config="cet_ct_cf_ai",
+                    app_config=_pool(2),
+                    workload=_workload(),
+                )
+            )
+
+        assert fingerprint() == fingerprint()
 
     def test_single_worker_pool_matches_request_count(self):
         result = run_app_scheduled(
