@@ -15,13 +15,14 @@ Run:  python examples/filtering_comparison.py
 
 from repro.attacks.catalog import attack_by_name
 from repro.attacks.runner import run_attack
-from repro.baselines.debloat import debloat_module
-from repro.baselines.seccomp_filter import build_allowlist_filter
 from repro.apps.nginx import build_nginx
+from repro.bench.harness import CONFIGS
+from repro.ir.callgraph import build_callgraph
 from repro.kernel.seccomp import evaluate_filters, SECCOMP_RET_ALLOW, action_name
+from repro.mechanisms.baselines import debloat_module
 from repro.monitor.policy import ContextPolicy
+from repro.policy import build_presence_filter
 from repro.syscalls.table import nr_of
-from repro.vm.cpu import CPUOptions
 
 
 def main():
@@ -35,7 +36,7 @@ def main():
           ", ".join(sorted(report.surviving_sensitive)))
 
     print("\n=== seccomp allowlist ===")
-    filt = build_allowlist_filter(module)
+    filt = build_presence_filter(build_callgraph(module).syscall_sites, "allowlist")
     action, _ = evaluate_filters([filt], nr_of("mprotect"))
     print("allowlist verdict for mprotect:", action_name(action))
     assert action == SECCOMP_RET_ALLOW  # the §2.2 gap
@@ -44,10 +45,10 @@ def main():
     undefended = run_attack(spec, None, "none")
     print("undefended      : %s" % ("SUCCEEDS" if undefended.succeeded else "fails"))
 
-    cfi = run_attack(spec, None, "llvm_cfi", cpu_options=CPUOptions(llvm_cfi=True))
+    cfi = run_attack(spec, None, "llvm_cfi", defense=CONFIGS["llvm_cfi"])
     print("LLVM CFI        : %s" % ("SUCCEEDS (bypassed)" if cfi.succeeded else "blocked"))
 
-    cet = run_attack(spec, None, "cet", cpu_options=CPUOptions(cet=True))
+    cet = run_attack(spec, None, "cet", defense=CONFIGS["cet"])
     print("CET             : %s" % ("SUCCEEDS (bypassed)" if cet.succeeded else "blocked"))
 
     bastion = run_attack(spec, ContextPolicy.full(), "bastion")

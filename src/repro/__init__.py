@@ -20,7 +20,9 @@ This package rebuilds the whole stack on a simulated substrate:
 - :mod:`repro.runtime` — the BASTION runtime library (shadow memory table,
   ``ctx_write_mem`` / ``ctx_bind_*`` intrinsics).
 - :mod:`repro.monitor` — the BASTION runtime monitor process.
-- :mod:`repro.baselines` — LLVM CFI, DFI, seccomp allowlisting, debloating.
+- :mod:`repro.mechanisms` — BASTION and the defenses it is compared
+  against (seccomp allowlisting, temporal filtering, debloating, LLVM CFI,
+  DFI, binary-only, SFIP) behind one launch interface.
 - :mod:`repro.apps` — mini-NGINX, mini-SQLite, mini-vsftpd and their
   workload generators (wrk / DBT2 / dkftpbench stand-ins).
 - :mod:`repro.attacks` — the Table 6 attack catalog.

@@ -52,7 +52,12 @@ from repro.ir.callgraph import (
     wrapper_map,
 )
 from repro.ir.instructions import Call, CallIndirect, FuncAddr, Syscall
-from repro.policy import CompiledPolicy, ProgramGraph, build_transition_graph
+from repro.policy import (
+    CompiledPolicy,
+    ProgramGraph,
+    build_transition_graph,
+    sensitive_sites,
+)
 from repro.syscalls.sensitive import SENSITIVE_SYSCALLS
 from repro.vm.loader import INSTR_STRIDE, TEXT_BASE, Image
 
@@ -407,30 +412,20 @@ def policy_for_image(module):
 
 def recovered_flow_metrics(recovery):
     """Chains / attack-surface statistics over the recovered flow graph,
-    shaped like the metadata-driven flow pass's metrics."""
+    shaped like the metadata-driven flow pass's metrics: the same
+    :func:`~repro.policy.sensitive_sites` definition, over recovered
+    wrappers, restricted to reachable holders."""
     from repro.analyze.flowgraph import flow_metrics
 
-    sensitive = set(SENSITIVE_SYSCALLS)
-    hot_wrappers = {
-        base: [s for s in names if s in sensitive][0]
-        for base, names in recovery.wrappers.items()
-        if any(s in sensitive for s in names)
+    graph = program_graph(recovery)
+    sites = {
+        site: syscall
+        for site, syscall in sensitive_sites(
+            graph, recovery.wrappers, SENSITIVE_SYSCALLS
+        ).items()
+        if site[0] in recovery.reachable
     }
-
-    sites = {}  # (holder base, site addr) -> syscall
-    for base, func in recovery.functions.items():
-        if base in recovery.wrappers or base not in recovery.reachable:
-            continue
-        addr = base
-        for instr in func.instrs:
-            if isinstance(instr, Call):
-                target = _resolve_target(recovery.image, instr.callee)
-                if target in hot_wrappers:
-                    sites[(base, addr)] = hot_wrappers[target]
-            elif isinstance(instr, Syscall) and instr.name in sensitive:
-                sites[(base, addr)] = instr.name
-            addr += INSTR_STRIDE
-    return flow_metrics(program_graph(recovery), sites)[0]
+    return flow_metrics(graph, sites)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ finding with an IR location.
 """
 
 from repro.analyze.diagnostics import Diagnostic
+from repro.analyze.flowgraph import program_graph
 from repro.ir.callgraph import wrapper_map as _wrapper_map
 from repro.ir.dataflow import def_use_chains
 from repro.ir.instructions import (
@@ -33,37 +34,16 @@ from repro.ir.instructions import (
     Move,
     Ret,
     Store,
-    Syscall,
     Var,
     CTX_BIND_CONST,
     CTX_BIND_MEM,
     CTX_WRITE_MEM,
 )
+from repro.policy import sensitive_sites
 
 PASS_NAME = "completeness"
 MAX_TAINT_POSITION = 6
 _ADDR_DEPTH = 4
-
-
-def find_sensitive_sites(module, sensitive_names):
-    """``{(func, index): syscall}`` for the instrumented module's own IR."""
-    sensitive = set(sensitive_names)
-    wrappers = _wrapper_map(module)
-    hot_wrappers = {
-        name: [s for s in syscalls if s in sensitive][0]
-        for name, syscalls in wrappers.items()
-        if any(s in sensitive for s in syscalls)
-    }
-    sites = {}
-    for func in module.functions.values():
-        if func.name in wrappers:
-            continue
-        for idx, instr in enumerate(func.body):
-            if isinstance(instr, Call) and instr.callee in hot_wrappers:
-                sites[(func.name, idx)] = hot_wrappers[instr.callee]
-            elif isinstance(instr, Syscall) and instr.name in sensitive:
-                sites[(func.name, idx)] = instr.name
-    return sites
 
 
 class _Taint:
@@ -359,7 +339,9 @@ def check_completeness(artifact):
     metadata = artifact.metadata
     diagnostics = []
 
-    sites = find_sensitive_sites(module, metadata.sensitive_set)
+    sites = sensitive_sites(
+        program_graph(artifact), _wrapper_map(module), metadata.sensitive_set
+    )
 
     # 1. Every sensitive callsite derivable from the IR has metadata.
     for (func_name, idx), syscall in sorted(sites.items()):

@@ -28,9 +28,14 @@ says can never run is a precision loss, not a soundness hole.
 recovers from an image.
 """
 
-from repro.analyze.completeness import find_sensitive_sites
 from repro.analyze.diagnostics import Diagnostic
-from repro.policy import CompiledPolicy, ProgramGraph, build_transition_graph
+from repro.ir.callgraph import wrapper_map
+from repro.policy import (
+    CompiledPolicy,
+    ProgramGraph,
+    build_transition_graph,
+    sensitive_sites,
+)
 from repro.syscalls import argspec_for
 
 PASS_NAME = "flow"
@@ -146,8 +151,11 @@ def analyze_flow(artifact):
 
     Returns ``(diagnostics, metrics)``.
     """
-    sites = find_sensitive_sites(artifact.module, artifact.metadata.sensitive_set)
-    metrics, unreachable = flow_metrics(program_graph(artifact), sites)
+    graph = program_graph(artifact)
+    sites = sensitive_sites(
+        graph, wrapper_map(artifact.module), artifact.metadata.sensitive_set
+    )
+    metrics, unreachable = flow_metrics(graph, sites)
     diagnostics = [
         Diagnostic(
             PASS_NAME,

@@ -98,7 +98,6 @@ class ProtectConfig:
             self.label or "bastion",
             cet=self.cet,
             policy=self.policy,
-            instrumented=True,
             extend_filesystem=self.extend_filesystem,
         )
 

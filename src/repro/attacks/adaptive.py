@@ -20,18 +20,19 @@ mounted on the Control Jujutsu scenario against mini-NGINX:
   compile-time-constant argument): impossible by construction, because the
   expected value lives in the monitor's metadata, which no write into the
   application's address space can reach.
+
+Each adversary is the Control Jujutsu spec with its stage and oracle
+replaced, run through :func:`repro.attacks.runner.run_attack` under full
+BASTION — the same launch path as every Table 6 run.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 from repro.attacks.catalog import attack_by_name
-from repro.attacks.primitives import AttackEnv
-from repro.attacks.runner import _target_artifact, attack_target
-from repro.kernel.kernel import Kernel
-from repro.monitor.monitor import BastionMonitor
+from repro.attacks.runner import run_attack
 from repro.monitor.policy import ContextPolicy
 from repro.runtime.shadow_table import COPIES_LAYOUT, ShadowTable, ShadowTableLayout
-from repro.vm.cpu import CPUOptions
 from repro.vm.memory import WORD
 
 
@@ -62,20 +63,39 @@ class _CountingMemory:
         self.env.proc.memory.write_cstr(addr, text)
 
 
-def _launch_jujutsu(stage):
-    """Run Control Jujutsu's trigger with a custom corruption payload."""
-    spec = attack_by_name("control_jujutsu")
-    kernel = Kernel()
-    attack_target("nginx").prepare_env(kernel)
-    artifact = _target_artifact("nginx", False)
-    monitor = BastionMonitor(artifact, policy=ContextPolicy.full())
-    proc, cpu = monitor.launch(kernel, cpu_options=CPUOptions(cet=False))
-    env = AttackEnv(kernel=kernel, proc=proc, cpu=cpu, image=cpu.image, monitor=monitor)
-    counter = _CountingMemory(env)
-    env.on_hook("ngx_output_chain_icall", lambda e: stage(e, counter))
-    attack_target("nginx").attach_workload(kernel, proc)
-    cpu.run()
-    return env, monitor, counter
+def _run_adversary(name, detail, stage, oracle):
+    """Mount ``stage(env, counter)`` on mini-NGINX under full BASTION."""
+    counters = []
+
+    def mount(env):
+        counters.append(_CountingMemory(env))
+        stage(env, counters[0])
+
+    spec = dataclasses.replace(
+        attack_by_name("control_jujutsu"), stage=mount, oracle=oracle
+    )
+    outcome = run_attack(spec, ContextPolicy.full(), "bastion")
+    return AdaptiveOutcome(
+        name=name,
+        succeeded=outcome.succeeded,
+        blocked_by=str(outcome.blocked_by) if outcome.blocked_by else None,
+        attacker_writes=counters[0].writes,
+        detail=detail,
+    )
+
+
+def _jujutsu(name, detail, shadow_base):
+    """Control Jujutsu's trigger with forged shadow copies at ``shadow_base``."""
+
+    def stage(env, counter):
+        env.on_hook(
+            "ngx_output_chain_icall",
+            lambda e: _forge_payload(e, counter, shadow_base),
+        )
+
+    return _run_adversary(
+        name, detail, stage, lambda env: env.executed("/bin/sh")
+    )
 
 
 def _forge_payload(env, counter, shadow_base):
@@ -113,31 +133,19 @@ def _forge_payload(env, counter, shadow_base):
 
 def oracle_forger():
     """§11.1's theoretical bypass: full layout knowledge."""
-    def stage(env, counter):
-        _forge_payload(env, counter, COPIES_LAYOUT.base)
-
-    env, monitor, counter = _launch_jujutsu(stage)
-    return AdaptiveOutcome(
-        name="oracle_forger",
-        succeeded=env.executed("/bin/sh"),
-        blocked_by=monitor.violations[0].context if monitor.violations else None,
-        attacker_writes=counter.writes,
-        detail="attacker knows the shadow region base and hash layout",
+    return _jujutsu(
+        "oracle_forger",
+        "attacker knows the shadow region base and hash layout",
+        COPIES_LAYOUT.base,
     )
 
 
 def blind_forger(guess_offset=1 << 30):
     """Same payload, but the shadow-base guess is wrong (region hiding)."""
-    def stage(env, counter):
-        _forge_payload(env, counter, COPIES_LAYOUT.base + guess_offset)
-
-    env, monitor, counter = _launch_jujutsu(stage)
-    return AdaptiveOutcome(
-        name="blind_forger",
-        succeeded=env.executed("/bin/sh"),
-        blocked_by=monitor.violations[0].context if monitor.violations else None,
-        attacker_writes=counter.writes,
-        detail="shadow base guessed %#x off" % guess_offset,
+    return _jujutsu(
+        "blind_forger",
+        "shadow base guessed %#x off" % guess_offset,
+        COPIES_LAYOUT.base + guess_offset,
     )
 
 
@@ -151,29 +159,22 @@ def constant_violator():
     expected values are not *in* the application's address space, so no
     number of writes helps.
     """
-    kernel = Kernel()
-    attack_target("nginx").prepare_env(kernel)
-    artifact = _target_artifact("nginx", False)
-    monitor = BastionMonitor(artifact, policy=ContextPolicy.full())
-    proc, cpu = monitor.launch(kernel, cpu_options=CPUOptions(cet=False))
-    env = AttackEnv(kernel=kernel, proc=proc, cpu=cpu, image=cpu.image, monitor=monitor)
-    counter = _CountingMemory(env)
 
-    # Corrupt the wrapper's prot *parameter slot* right at its syscall
-    # instruction — after the legitimate constant was passed, before the
-    # monitor's stop.  The register will read 7; the metadata says 1.
-    def at_syscall(c):
-        counter.write(c.local_addr("a2"), 7)
+    def stage(env, counter):
+        # Corrupt the wrapper's prot *parameter slot* right at its syscall
+        # instruction — after the legitimate constant was passed, before
+        # the monitor's stop.  The register will read 7; the metadata
+        # says 1.
+        def at_syscall(c):
+            counter.write(c.local_addr("a2"), 7)
 
-    cpu.breakpoints[env.func_addr("mprotect")] = at_syscall
-    attack_target("nginx").attach_workload(kernel, proc)
-    cpu.run()
-    return AdaptiveOutcome(
-        name="constant_violator",
-        succeeded=env.made_memory_executable(),
-        blocked_by=monitor.violations[0].context if monitor.violations else None,
-        attacker_writes=counter.writes,
-        detail="constant argument pinned in monitor metadata",
+        env.cpu.breakpoints[env.func_addr("mprotect")] = at_syscall
+
+    return _run_adversary(
+        "constant_violator",
+        "constant argument pinned in monitor metadata",
+        stage,
+        lambda env: env.made_memory_executable(),
     )
 
 

@@ -9,6 +9,11 @@ For every catalog entry:
    is that context's ✓;
 3. run under **full BASTION** — every Table 6 attack must be blocked.
 
+Every run — undefended, BASTION under any policy, and every baseline —
+launches through one :class:`~repro.mechanisms.ProtectionMechanism`
+(``defense.mechanism().launch``), so the attack study boots processes
+exactly the way the bench harness does.
+
 The same entry points drive the coverage-guided fuzzer (`repro.fuzz`),
 which needs programmatic target construction (:data:`TARGETS`), normalized
 blocking attribution (:class:`BlockingContext`), and scheduler-independent
@@ -25,12 +30,9 @@ from repro.apps.nginx import NginxConfig, build_nginx
 from repro.apps.workloads import SimpleServerWorkload, WrkWorkload
 from repro.attacks.catalog import CATALOG
 from repro.attacks.primitives import AttackEnv
-from repro.compiler.pipeline import BastionCompiler
+from repro.bench.harness import DefenseConfig
 from repro.kernel.kernel import Kernel
-from repro.monitor.monitor import BastionMonitor
 from repro.monitor.policy import ContextPolicy
-from repro.vm.cpu import CPU, CPUOptions
-from repro.vm.loader import Image
 
 
 class BlockingContext(str, enum.Enum):
@@ -160,22 +162,12 @@ def target_names():
 
 
 _module_cache = {}
-_artifact_cache = {}
 
 
 def _target_module(target):
     if target not in _module_cache:
         _module_cache[target] = TARGETS[target].build()
     return _module_cache[target]
-
-
-def _target_artifact(target, extend_filesystem):
-    key = (target, extend_filesystem)
-    if key not in _artifact_cache:
-        _artifact_cache[key] = BastionCompiler(
-            extend_filesystem=extend_filesystem
-        ).compile(_target_module(target))
-    return _artifact_cache[key]
 
 
 @dataclass
@@ -246,47 +238,30 @@ def classify_blocking(monitor, proc, status):
     return None, []
 
 
-def run_attack(
-    spec,
-    policy=None,
-    defense_name=None,
-    cpu_options=None,
-    defense=None,
-    quantum=None,
-):
+def run_attack(spec, policy=None, defense_name=None, defense=None, quantum=None):
     """Run one attack under ``policy`` (None = undefended).
 
     CET is disabled by default: the Table 6 study evaluates BASTION's
     contexts on their own (§10.1 explicitly covers the no-CET case).  Pass
-    explicit ``cpu_options`` to arm hardware/compiler baselines instead
-    (``CPUOptions(llvm_cfi=True)``, ``CPUOptions(cet=True)``), or a
-    ``defense`` DefenseConfig to launch through a registered
-    :class:`~repro.mechanisms.ProtectionMechanism` (the seccomp-allowlist
-    and binary-only baselines reach the attack study this way).
+    a ``defense`` DefenseConfig instead to run under any registered
+    mechanism — the hardware/compiler baselines (``CONFIGS["cet"]``,
+    ``CONFIGS["llvm_cfi"]``), the filtering baselines, binary-only, SFIP.
 
     ``quantum`` switches the run onto the preemptive scheduler with that
     cycle quantum; verdicts are quantum-independent (the fuzz oracle's
     determinism rests on this, see tests/attacks/test_scheduled.py).
     """
     target = TARGETS[spec.target]
+    name = defense_name or (policy.label() if policy else "none")
+    if defense is None:
+        defense = DefenseConfig(
+            name, policy=policy, extend_filesystem=spec.needs_fs_extension
+        )
     kernel = Kernel()
     target.prepare_env(kernel)
-    options = cpu_options or CPUOptions(cet=False)
-
-    monitor = None
-    if policy is not None:
-        artifact = _target_artifact(spec.target, spec.needs_fs_extension)
-        monitor = BastionMonitor(artifact, policy=policy)
-        proc, cpu = monitor.launch(kernel, cpu_options=options)
-    elif defense is not None:
-        mechanism = defense.mechanism()
-        proc, cpu = mechanism.launch(
-            kernel, spec.target, _target_module(spec.target)
-        )
-    else:
-        image = Image(_target_module(spec.target))
-        proc = kernel.create_process(spec.target, image)
-        cpu = CPU(image, proc, kernel, options)
+    mechanism = defense.mechanism()
+    proc, cpu = mechanism.launch(kernel, spec.target, _target_module(spec.target))
+    monitor = mechanism.monitor
 
     env = AttackEnv(kernel=kernel, proc=proc, cpu=cpu, image=cpu.image, monitor=monitor)
     spec.stage(env)
@@ -304,7 +279,7 @@ def run_attack(
 
     outcome = AttackOutcome(
         attack=spec.name,
-        defense=defense_name or (policy.label() if policy else "none"),
+        defense=name,
         status=status,
         succeeded=spec.oracle(env),
         stage_cycles=kernel.telemetry.stage_cycles(),

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from repro.attacks.catalog import CATALOG
 from repro.attacks.runner import run_attack, table6_matrix
 from repro.bench.harness import (
+    CONFIGS,
     FIGURE3_LADDER,
     build_app,
     run_app,
@@ -17,7 +18,6 @@ from repro.bench.harness import (
 )
 from repro.compiler.pipeline import BastionCompiler
 from repro.syscalls.sensitive import SENSITIVE_SYSCALLS
-from repro.vm.cpu import CPUOptions
 
 APPS = ("nginx", "sqlite", "vsftpd")
 
@@ -213,14 +213,10 @@ def security_baseline_comparison(catalog=None):
     checks), recording whether each baseline stopped it — BASTION vs
     binary-only vs SFIP is the filtering-family ladder in one table.
     """
-    from repro.bench.harness import CONFIGS
-
     rows = []
     for spec in catalog or CATALOG:
-        cfi = run_attack(
-            spec, None, "llvm_cfi", cpu_options=CPUOptions(llvm_cfi=True)
-        )
-        cet = run_attack(spec, None, "cet", cpu_options=CPUOptions(cet=True))
+        cfi = run_attack(spec, None, "llvm_cfi", defense=CONFIGS["llvm_cfi"])
+        cet = run_attack(spec, None, "cet", defense=CONFIGS["cet"])
         seccomp = run_attack(
             spec, None, "seccomp_allowlist",
             defense=CONFIGS["seccomp_allowlist"],

@@ -43,14 +43,14 @@ class DefenseConfig:
     cet: bool = False
     llvm_cfi: bool = False
     dfi: bool = False
-    #: None = no monitor; otherwise the ContextPolicy to enforce
+    #: None = no monitor; otherwise the ContextPolicy BASTION enforces
+    #: over its instrumented binary
     policy: object = None
-    #: run the BASTION-instrumented binary (vs the vanilla one)
-    instrumented: bool = False
     #: compile/monitor with the §11.2 filesystem extension set
     extend_filesystem: bool = False
-    #: non-BASTION software baseline: 'seccomp_allowlist' | 'temporal'
-    #: | 'debloat' | 'binary_only' (None = static CPU flags only)
+    #: non-BASTION software mechanism: 'seccomp_allowlist' | 'temporal'
+    #: | 'debloat' | 'binary_only' | 'sfip' | 'sfip_origin' (None =
+    #: static CPU flags only)
     baseline: str = None
 
     def cpu_options(self):
@@ -77,56 +77,41 @@ CONFIGS = {
     "vanilla": DefenseConfig("vanilla"),
     "cet": DefenseConfig("cet", cet=True),
     "cet_ct": DefenseConfig(
-        "cet_ct",
-        cet=True,
-        policy=ContextPolicy.ct_only().without("cache"),
-        instrumented=True,
+        "cet_ct", cet=True, policy=ContextPolicy.ct_only().without("cache")
     ),
     "cet_ct_cf": DefenseConfig(
-        "cet_ct_cf",
-        cet=True,
-        policy=ContextPolicy.ct_cf().without("cache"),
-        instrumented=True,
+        "cet_ct_cf", cet=True, policy=ContextPolicy.ct_cf().without("cache")
     ),
-    "cet_ct_cf_ai": DefenseConfig(
-        "cet_ct_cf_ai", cet=True, policy=_full(), instrumented=True
-    ),
+    "cet_ct_cf_ai": DefenseConfig("cet_ct_cf_ai", cet=True, policy=_full()),
     # Table 7: filesystem-syscall extension, decomposed
     "fs_hook_only": DefenseConfig(
         "fs_hook_only",
         cet=True,
         policy=_full().as_hook_only(),
-        instrumented=True,
         extend_filesystem=True,
     ),
     "fs_fetch_state": DefenseConfig(
         "fs_fetch_state",
         cet=True,
         policy=_full().as_fetch_state(),
-        instrumented=True,
         extend_filesystem=True,
     ),
     "fs_full": DefenseConfig(
-        "fs_full", cet=True, policy=_full(), instrumented=True, extend_filesystem=True
+        "fs_full", cet=True, policy=_full(), extend_filesystem=True
     ),
     # §11.2 ablation: monitor inside the kernel
     "fs_full_inkernel": DefenseConfig(
         "fs_full_inkernel",
         cet=True,
         policy=_full().as_inkernel(),
-        instrumented=True,
         extend_filesystem=True,
     ),
     "bastion_inkernel": DefenseConfig(
-        "bastion_inkernel", cet=True, policy=_full().as_inkernel(), instrumented=True
+        "bastion_inkernel", cet=True, policy=_full().as_inkernel()
     ),
     # monitor fast path: full BASTION with the verdict cache on/off
-    "cache_on": DefenseConfig(
-        "cache_on", cet=True, policy=ContextPolicy.full(), instrumented=True
-    ),
-    "cache_off": DefenseConfig(
-        "cache_off", cet=True, policy=_full(), instrumented=True
-    ),
+    "cache_on": DefenseConfig("cache_on", cet=True, policy=ContextPolicy.full()),
+    "cache_off": DefenseConfig("cache_off", cet=True, policy=_full()),
 }
 
 # Every *named* non-BASTION mechanism (llvm_cfi, dfi, the filtering

@@ -130,3 +130,22 @@ def build_callgraph(module):
             elif isinstance(instr, Syscall):
                 graph.syscall_sites.setdefault(instr.name, []).append(site)
     return graph
+
+
+def cfi_equivalence_classes(module):
+    """Map each type signature to its address-taken member functions.
+
+    LLVM CFI (§9.2) admits an indirect call to any function of the
+    callsite's type-signature class — the CPU's ``llvm_cfi`` check — so
+    class size is the attacker's room to move (§2.2: large classes are
+    bypassable).  Only address-taken functions can be indirect-call
+    targets, mirroring how Clang builds its jump tables.
+    """
+    graph = build_callgraph(module)
+    classes = {}
+    for name in sorted(graph.address_taken):
+        func = module.functions.get(name)
+        if func is None:
+            continue
+        classes.setdefault(func.sig, []).append(name)
+    return classes

@@ -10,7 +10,9 @@ The BASTION monitor (§7.1) installs a filter specifying:
 
 :func:`build_action_filter` turns such an action map into a real cBPF
 program (one JEQ chain entry per syscall), which the kernel evaluates on
-every syscall of the protected process.
+every syscall of the protected process; :func:`build_arg_constraint_filter`
+builds the application-wide argument pin plain seccomp offers instead
+(§2.2).
 """
 
 from dataclasses import dataclass
@@ -26,11 +28,13 @@ from repro.kernel.bpf import (
     BPF_W,
     BPFProgram,
     SECCOMP_DATA_ARCH,
+    SECCOMP_DATA_ARGS,
     SECCOMP_DATA_NR,
     SeccompData,
     jump,
     stmt,
 )
+from repro.syscalls.table import nr_of
 
 SECCOMP_RET_KILL_PROCESS = 0x80000000
 SECCOMP_RET_KILL_THREAD = 0x00000000
@@ -132,6 +136,48 @@ def build_action_filter(action_by_nr, default_action=SECCOMP_RET_ALLOW, label="b
     instructions.extend(body)
     instructions.append(stmt(BPF_RET | BPF_K, SECCOMP_RET_KILL_PROCESS))
     return SeccompFilter(BPFProgram(instructions), label=label)
+
+
+def build_arg_constraint_filter(syscall_name, position, allowed_values):
+    """seccomp's argument constraining (§2.2): pin one argument of one
+    syscall to a set of constant values — *application-wide*.
+
+    Generated program::
+
+        ld  [nr]
+        jne #nr, allow            ; other syscalls unconstrained
+        ld  [args[position].lo]
+        jeq #v0, allow
+        jeq #v1, allow
+        ...
+        ret KILL
+        allow: ret ALLOW
+
+    The paper's critique is structural: because the whole application
+    shares one filter, an app that legitimately uses ``mprotect`` with both
+    PROT_READ and PROT_READ|PROT_EXEC must allow *both values everywhere* —
+    BASTION's per-callsite constant bindings are strictly tighter.
+    """
+    values = sorted({v & 0xFFFFFFFF for v in allowed_values})
+    if not 1 <= position <= 6:
+        raise ValueError("argument position must be 1..6")
+    arg_offset = SECCOMP_DATA_ARGS + (position - 1) * 8
+    instructions = [stmt(BPF_LD | BPF_W | BPF_ABS, SECCOMP_DATA_NR)]
+    # not-this-syscall: skip the whole check and land on the final ALLOW
+    body_len = 1 + len(values) + 1  # arg load + jeq chain + KILL
+    instructions.append(
+        jump(BPF_JMP | BPF_JEQ | BPF_K, nr_of(syscall_name), 0, body_len)
+    )
+    instructions.append(stmt(BPF_LD | BPF_W | BPF_ABS, arg_offset))
+    for i, value in enumerate(values):
+        skip_to_allow = (len(values) - 1 - i) + 1  # remaining jeqs + KILL
+        instructions.append(jump(BPF_JMP | BPF_JEQ | BPF_K, value, skip_to_allow, 0))
+    instructions.append(stmt(BPF_RET | BPF_K, SECCOMP_RET_KILL_PROCESS))
+    instructions.append(stmt(BPF_RET | BPF_K, SECCOMP_RET_ALLOW))
+    return SeccompFilter(
+        BPFProgram(instructions),
+        label="argpin:%s[%d]" % (syscall_name, position),
+    )
 
 
 def evaluate_filters(filters, nr, ip=0, args=(0, 0, 0, 0, 0, 0)):

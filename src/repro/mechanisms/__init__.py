@@ -3,7 +3,10 @@
 ``mechanism_for(defense)`` maps a :class:`~repro.bench.harness.
 DefenseConfig` to the :class:`ProtectionMechanism` that implements it;
 ``mechanism.launch(kernel, app, module)`` is the entire launch path the
-bench harness uses, for BASTION and every baseline alike.
+bench harness and the attack runner use, for BASTION, every baseline
+and the undefended binary alike.  The baselines' analyses (allowlist,
+temporal phase split, debloating) live with their mechanisms in
+:mod:`repro.mechanisms.baselines`.
 
 All named-mechanism registration lives in
 :mod:`repro.mechanisms.registry` — one :class:`~repro.mechanisms.
@@ -14,16 +17,13 @@ fuzz oracle's matrix are all derived.  This module re-exports the
 registry surface.
 """
 
-from repro.mechanisms.base import (
-    ProtectionMechanism,
-    artifact_for,
-    mechanism_for,
-)
+from repro.mechanisms.base import ProtectionMechanism, artifact_for
 from repro.mechanisms.registry import (
     FUZZ_MATRIX,
     MECHANISM_NAMES,
     MechanismSpec,
     defense_for_mechanism,
+    mechanism_for,
     named_defense_configs,
 )
 from repro.mechanisms.bastion import BastionMechanism

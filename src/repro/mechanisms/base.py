@@ -6,9 +6,10 @@ through exactly one seam: a :class:`ProtectionMechanism` builds the target
 module, launches the root process, and installs whatever it enforces —
 seccomp filters, a ptrace monitor, dispatch-pipeline hooks — via the
 kernel's public surfaces (``kernel.install_seccomp``,
-``kernel.pipeline.insert``, ``proc.tracer``).  The bench harness holds no
-per-defense branches: ``mechanism_for(defense).launch(kernel, app, module)``
-is the whole launch path.
+``kernel.pipeline.insert``, ``proc.tracer``).  Neither the bench harness
+nor the attack runner holds per-defense branches:
+``defense.mechanism().launch(kernel, app, module)`` is the whole launch
+path, undefended runs included.
 """
 
 from repro.compiler.pipeline import BastionCompiler
@@ -19,7 +20,11 @@ _artifact_cache = {}
 
 
 def artifact_for(app, module, extend_filesystem=False):
-    """Compile (and cache) the BASTION artifact for an app module."""
+    """Compile (and cache) the BASTION artifact for an app module.
+
+    The one artifact cache: BASTION enforces, and SFIP derives its
+    policy from, the same object per (app, module, extension set).
+    """
     key = (app, id(module), extend_filesystem)
     if key not in _artifact_cache:
         _artifact_cache[key] = BastionCompiler(
@@ -33,8 +38,8 @@ class ProtectionMechanism:
 
     Subclasses override any of:
 
-    - :meth:`target_module` — swap the module the image loads (debloating,
-      BASTION instrumentation);
+    - :meth:`target_module` — swap the module the image loads
+      (debloating);
     - :meth:`install` — attach filters / pipeline hooks / a tracer to the
       launched root process;
     - :meth:`launch` — wholesale replacement when the defense owns the
@@ -51,10 +56,6 @@ class ProtectionMechanism:
 
     def target_module(self, app, module):
         """The module the process image loads."""
-        if self.defense.instrumented:
-            return artifact_for(
-                app, module, self.defense.extend_filesystem
-            ).module
         return module
 
     def install(self, kernel, proc, app, module):
@@ -69,18 +70,3 @@ class ProtectionMechanism:
         cpu = CPU(image, proc, kernel, self.cpu_options())
         self.install(kernel, proc, app, module)
         return proc, cpu
-
-
-def mechanism_for(defense):
-    """The :class:`ProtectionMechanism` implementing a DefenseConfig.
-
-    Registry-driven since the repro.policy refactor: every named
-    mechanism is a :class:`~repro.mechanisms.registry.MechanismSpec` row
-    in :mod:`repro.mechanisms.registry`; this is a thin re-export kept
-    for its historical import path.
-    """
-    # imported here: registry resolves mechanism classes lazily, and
-    # bastion.py/baselines.py import this module's base class
-    from repro.mechanisms.registry import mechanism_for as _registry_lookup
-
-    return _registry_lookup(defense)

@@ -1,16 +1,29 @@
-"""The five baseline defenses as :class:`ProtectionMechanism` subclasses.
+"""The baseline defenses BASTION is compared against (§2.2, §9.2, §12).
 
-Each wraps an analysis from :mod:`repro.baselines` and installs it through
-the kernel's public surfaces — no harness branches, no kernel special
-cases.  The hardware/compiler baselines (CET, LLVM-CFI, DFI) are purely
-``CPUOptions`` flags carried by the DefenseConfig, so they share
-:class:`StaticMechanism`.
+Each is a :class:`ProtectionMechanism` installed through the kernel's
+public surfaces — no harness branches, no kernel special cases:
+
+- :class:`SeccompAllowlistMechanism` — plain seccomp allowlisting: the
+  coarse-grained binary-decision filtering the paper argues is
+  insufficient (a sensitive-but-used ``mprotect`` stays fully allowed);
+- :class:`TemporalMechanism` — temporal specialization: the allowlist at
+  launch, a stricter serving-phase filter from the accept loop on;
+- :class:`DebloatMechanism` — reachability-based debloating: removes
+  never-used code but must keep sensitive-but-used syscalls;
+- :class:`StaticMechanism` — CET, LLVM CFI and DFI, which are purely
+  ``CPUOptions`` flags carried by the DefenseConfig and enforced by the
+  CPU (:meth:`repro.vm.cpu.CPU._cfi_check` checks LLVM CFI's
+  type-signature classes, :func:`repro.ir.callgraph.
+  cfi_equivalence_classes` sizes them).
 """
 
-from repro.baselines.debloat import debloat_module
-from repro.baselines.seccomp_filter import build_allowlist_filter
-from repro.baselines.temporal import build_serving_phase_filter
+from dataclasses import dataclass, field
+
+from repro.ir.callgraph import build_callgraph, wrapper_map
+from repro.ir.instructions import Call, Syscall
 from repro.mechanisms.base import ProtectionMechanism
+from repro.policy import build_presence_filter
+from repro.syscalls.sensitive import SENSITIVE_SYSCALLS
 
 #: app entry functions reachable only after the serving phase begins.
 #: vsftpd's accept loop lives in ``main`` itself, so its "serving" phase
@@ -23,6 +36,67 @@ SERVING_ROOTS = {
 }
 
 
+def phase_syscalls(module, serving_roots):
+    """Split used syscalls into (init-only, serving) sets.
+
+    ``serving_roots`` are the functions that constitute the serving phase
+    (e.g. NGINX's worker cycle); every syscall reachable from them stays
+    allowed after the phase switch, everything else becomes init-only.
+
+    §12's point: attacks like Control Jujutsu and AOCR "leverage system
+    calls still permitted in the application's serving phase", so even
+    the temporal filter cannot stop them.
+    """
+    graph = build_callgraph(module)
+    wrappers = wrapper_map(module)
+    serving = set()
+    for func_name in graph.reachable_from(list(serving_roots)):
+        func = module.functions.get(func_name)
+        if func is None:
+            continue
+        for instr in func.body:
+            if isinstance(instr, Syscall):
+                serving.add(instr.name)
+            elif isinstance(instr, Call) and instr.callee in wrappers:
+                serving.update(wrappers[instr.callee])
+    return set(graph.syscall_sites) - serving, serving
+
+
+@dataclass
+class DebloatReport:
+    """What debloating removed and what necessarily survived."""
+
+    kept_functions: set = field(default_factory=set)
+    removed_functions: set = field(default_factory=set)
+    removed_syscalls: set = field(default_factory=set)
+    surviving_sensitive: set = field(default_factory=set)
+
+
+def debloat_module(module):
+    """Return ``(debloated_module, DebloatReport)``; input is untouched.
+
+    Removes functions unreachable from the entry point (direct edges plus
+    the address-taken closure), mirroring Nibbler/RAZOR-style binary
+    debloating.  Sensitive syscalls that *are* used (``mmap``/``mprotect``
+    for pools and loading) survive and remain weaponizable.
+    """
+    callgraph = build_callgraph(module)
+    reachable = callgraph.reachable_from([module.entry])
+    new_module = module.clone()
+    report = DebloatReport()
+    report.kept_functions = set(reachable)
+    for name in list(new_module.functions):
+        if name not in reachable:
+            report.removed_functions.add(name)
+            del new_module.functions[name]
+
+    before = set(callgraph.syscall_sites)
+    after = set(build_callgraph(new_module).syscall_sites)
+    report.removed_syscalls = before - after
+    report.surviving_sensitive = after & set(SENSITIVE_SYSCALLS)
+    return new_module, report
+
+
 class StaticMechanism(ProtectionMechanism):
     """CPU-flag-only defenses: vanilla, CET, LLVM-CFI, DFI."""
 
@@ -31,10 +105,11 @@ class SeccompAllowlistMechanism(ProtectionMechanism):
     """Static syscall allowlist: KILL anything the program never calls."""
 
     def install(self, kernel, proc, app, module):
-        kernel.install_seccomp(proc, build_allowlist_filter(module))
+        allowed = build_callgraph(module).syscall_sites
+        kernel.install_seccomp(proc, build_presence_filter(allowed, "allowlist"))
 
 
-class TemporalMechanism(ProtectionMechanism):
+class TemporalMechanism(SeccompAllowlistMechanism):
     """Two-phase specialization: allowlist at launch, a stricter filter
     once the server enters its accept loop (TSP/temporal debloating).
 
@@ -51,13 +126,12 @@ class TemporalMechanism(ProtectionMechanism):
         self.init_only = frozenset()
 
     def install(self, kernel, proc, app, module):
-        kernel.install_seccomp(proc, build_allowlist_filter(module))
+        super().install(kernel, proc, app, module)
         roots = SERVING_ROOTS.get(app)
         if roots is None:
             return
-        serving, init_only, _serving_set = build_serving_phase_filter(
-            module, roots
-        )
+        init_only, serving_set = phase_syscalls(module, roots)
+        serving = build_presence_filter(serving_set, "temporal-serving")
         self.serving_filter = serving
         self.init_only = frozenset(init_only)
 

@@ -29,7 +29,11 @@ from repro.policy.artifact import (
     build_presence_filter,
     policy_json,
 )
-from repro.policy.flow import ProgramGraph, build_transition_graph
+from repro.policy.flow import (
+    ProgramGraph,
+    build_transition_graph,
+    sensitive_sites,
+)
 
 __all__ = [
     "SCHEMA",
@@ -39,4 +43,5 @@ __all__ = [
     "build_presence_filter",
     "build_transition_graph",
     "policy_json",
+    "sensitive_sites",
 ]

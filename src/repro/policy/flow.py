@@ -8,8 +8,9 @@ resolver, the direct caller edges and the indirect-callsite count.
 :func:`repro.analyze.flowgraph.program_graph` builds it from module IR
 plus compiler metadata, :func:`repro.analyze.binary.program_graph` from
 a recovered image.  Chain counting
-(:class:`repro.analyze.flowgraph.ChainCounter`) and
-:func:`build_transition_graph` then run over either.
+(:class:`repro.analyze.flowgraph.ChainCounter`),
+:func:`sensitive_sites` and :func:`build_transition_graph` then run over
+either.
 
 The transition engine is one compositional interprocedural dataflow:
 
@@ -85,6 +86,38 @@ class ProgramGraph:
         if self.thread_entries is None:
             return self.address_taken
         return self.thread_entries
+
+
+def sensitive_sites(graph, wrappers, sensitive_names):
+    """``{(fid, index): syscall}`` for every sensitive callsite in ``graph``.
+
+    A sensitive callsite is a direct call (operand resolved through
+    ``graph.resolve``) to a wrapper of a sensitive syscall, or a sensitive
+    ``Syscall`` issued inline outside the wrappers.  ``wrappers`` maps
+    wrapper fids to the syscall names they issue; a wrapper counts as its
+    first sensitive one.  The analyzer passes the IR's
+    :func:`~repro.ir.callgraph.wrapper_map`, the binary analyzer its
+    structurally recovered wrappers — one definition, so the two levels
+    cannot disagree on what a site is.
+    """
+    sensitive = set(sensitive_names)
+    hot_wrappers = {}
+    for fid, names in wrappers.items():
+        hot = [name for name in names if name in sensitive]
+        if hot:
+            hot_wrappers[fid] = hot[0]
+    sites = {}
+    for fid, (_symbol, instrs) in graph.functions.items():
+        if fid in wrappers:
+            continue
+        for index, instr in enumerate(instrs):
+            if isinstance(instr, Call):
+                syscall = hot_wrappers.get(graph.resolve(instr.callee))
+                if syscall is not None:
+                    sites[(fid, index)] = syscall
+            elif isinstance(instr, Syscall) and instr.name in sensitive:
+                sites[(fid, index)] = instr.name
+    return sites
 
 
 def _flow_blocks(instrs, resolve, indirect_targets):

@@ -16,8 +16,8 @@ from repro.analyze.binary import (
 from repro.analyze.calltypes import recompute_call_types
 from repro.analyze.waivers import SHIPPED_WAIVERS, apply_waivers
 from repro.apps import SYNTHETIC_APPS, build_app_module
-from repro.baselines.seccomp_filter import used_syscalls
 from repro.compiler.pipeline import BastionCompiler
+from repro.ir.callgraph import build_callgraph
 
 APPS = sorted(SYNTHETIC_APPS)
 
@@ -46,7 +46,9 @@ class TestRecoveryEquivalence:
     def test_present_syscalls_match_used(self, app):
         artifact = _artifact(app)
         recovery = recover_image_for(artifact.module)
-        assert recovery.present_syscalls == used_syscalls(artifact.module)
+        assert recovery.present_syscalls == set(
+            build_callgraph(artifact.module).syscall_sites
+        )
 
     @pytest.mark.parametrize("app", APPS)
     def test_full_function_partition(self, app):

@@ -7,7 +7,7 @@ from repro.analyze.binary import (
     compile_policy,
     recover_image_for,
 )
-from repro.baselines.seccomp_filter import build_allowlist_filter
+from repro.ir.callgraph import build_callgraph
 from repro.kernel.seccomp import (
     SECCOMP_RET_ALLOW,
     SECCOMP_RET_KILL_PROCESS,
@@ -53,7 +53,9 @@ def test_recovered_filter_kills_what_the_allowlist_admits():
     assert recovery.present_syscalls == {"chmod", "write"}
     assert recovery.reachable_syscalls == {"write"}
 
-    presence = build_allowlist_filter(artifact.module)
+    presence = build_presence_filter(
+        build_callgraph(artifact.module).syscall_sites, "allowlist"
+    )
     recovered = build_presence_filter(
         compile_policy(recovery).presence, "binary_only"
     )

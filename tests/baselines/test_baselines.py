@@ -2,22 +2,17 @@
 
 from repro.attacks.catalog import attack_by_name
 from repro.attacks.runner import run_attack
-from repro.baselines.debloat import debloat_module
-from repro.baselines.llvm_cfi import (
-    cfi_equivalence_classes,
-    largest_equivalence_class,
-    llvm_cfi_options,
-)
-from repro.baselines.dfi import dfi_options
-from repro.baselines.seccomp_filter import build_allowlist_filter, used_syscalls
+from repro.bench.harness import CONFIGS
 from repro.ir.builder import ModuleBuilder
+from repro.ir.callgraph import build_callgraph, cfi_equivalence_classes
 from repro.kernel.seccomp import (
     evaluate_filters,
     SECCOMP_RET_ALLOW,
     SECCOMP_RET_KILL_PROCESS,
 )
+from repro.mechanisms.baselines import debloat_module
+from repro.policy import build_presence_filter
 from repro.syscalls.table import nr_of
-from repro.vm.cpu import CPUOptions
 from tests.conftest import make_wrapper
 
 
@@ -42,19 +37,24 @@ def _module():
     return mb.build()
 
 
+def _allowlist(module):
+    """The seccomp_allowlist mechanism's filter for ``module``."""
+    return build_presence_filter(build_callgraph(module).syscall_sites, "allowlist")
+
+
 class TestAllowlist:
     def test_used_syscalls(self):
-        assert used_syscalls(_module()) == {"mprotect", "execve"}
+        assert set(build_callgraph(_module()).syscall_sites) == {"mprotect", "execve"}
 
     def test_filter_allows_used_kills_rest(self):
-        filt = build_allowlist_filter(_module())
+        filt = _allowlist(_module())
         assert evaluate_filters([filt], nr_of("mprotect"))[0] == SECCOMP_RET_ALLOW
         assert evaluate_filters([filt], nr_of("setuid"))[0] == SECCOMP_RET_KILL_PROCESS
 
     def test_binary_decision_weakness(self):
         """§2.2: the allowlist keeps sensitive-but-used syscalls wide open —
         it still ALLOWS mprotect even from a hijacked path."""
-        filt = build_allowlist_filter(_module())
+        filt = _allowlist(_module())
         assert evaluate_filters([filt], nr_of("mprotect"))[0] == SECCOMP_RET_ALLOW
 
 
@@ -81,30 +81,20 @@ class TestLLVMCFI:
     def test_equivalence_classes(self):
         classes = cfi_equivalence_classes(_module())
         assert set(classes["h1"]) == {"handler", "other_handler"}
-        assert largest_equivalence_class(_module()) == 2
-
-    def test_options(self):
-        options = llvm_cfi_options()
-        assert options.llvm_cfi and not options.cet
-        assert dfi_options().dfi
 
     def test_cfi_bypassed_by_type_compatible_attacks(self):
         """§10.3: COOP and Control Jujutsu are type-valid — CFI passes."""
         for name in ("coop_chrome", "control_jujutsu", "aocr_apache"):
             spec = attack_by_name(name)
-            outcome = run_attack(
-                spec, None, "llvm_cfi", cpu_options=CPUOptions(llvm_cfi=True)
-            )
+            outcome = run_attack(spec, None, "llvm_cfi", defense=CONFIGS["llvm_cfi"])
             assert outcome.succeeded, name
             assert not outcome.blocked, name
 
     def test_cet_blocks_rop_but_not_data_attacks(self):
         """§10.1: CET stops ROP; §10.3 attacks sail through it."""
         rop = attack_by_name("rop_execute_user_command")
-        outcome = run_attack(rop, None, "cet", cpu_options=CPUOptions(cet=True))
+        outcome = run_attack(rop, None, "cet", defense=CONFIGS["cet"])
         assert outcome.blocked and outcome.blocked_by == "cet"
         data_only = attack_by_name("aocr_nginx_attack2")
-        outcome = run_attack(
-            data_only, None, "cet", cpu_options=CPUOptions(cet=True)
-        )
+        outcome = run_attack(data_only, None, "cet", defense=CONFIGS["cet"])
         assert outcome.succeeded

@@ -4,13 +4,14 @@ documented weaknesses against the attack catalog."""
 import pytest
 
 from repro.apps.nginx import build_nginx
-from repro.baselines.seccomp_filter import build_arg_constraint_filter
-from repro.baselines.temporal import build_serving_phase_filter, phase_syscalls
 from repro.kernel.seccomp import (
+    build_arg_constraint_filter,
     evaluate_filters,
     SECCOMP_RET_ALLOW,
     SECCOMP_RET_KILL_PROCESS,
 )
+from repro.mechanisms.baselines import phase_syscalls
+from repro.policy import build_presence_filter
 from repro.syscalls.table import nr_of
 
 
@@ -69,10 +70,8 @@ class TestTemporalFiltering:
         assert "sendfile" in serving
 
     def test_serving_filter_kills_init_only(self):
-        module = build_nginx()
-        filt, init_only, _serving = build_serving_phase_filter(
-            module, ["ngx_worker_cycle"]
-        )
+        _init_only, serving = phase_syscalls(build_nginx(), ["ngx_worker_cycle"])
+        filt = build_presence_filter(serving, "temporal-serving")
         assert (
             evaluate_filters([filt], nr_of("setuid"))[0]
             == SECCOMP_RET_KILL_PROCESS
@@ -91,9 +90,6 @@ class TestTemporalFiltering:
         mini-NGINX — but the request path itself (ngx_handle_request)
         reaches the indexed-variable dispatch, which is all the attacker
         needs *if the target syscall remains allowed*."""
-        module = build_nginx()
-        _filt, _init, serving = build_serving_phase_filter(
-            module, ["ngx_master_cycle"]
-        )
+        _init_only, serving = phase_syscalls(build_nginx(), ["ngx_master_cycle"])
         # the master-cycle phase keeps execve alive (the upgrade path)
         assert "execve" in serving

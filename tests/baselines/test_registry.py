@@ -3,12 +3,19 @@
 A mechanism registered here but forgotten anywhere downstream —
 ``MECHANISM_NAMES``, ``bench.harness.CONFIGS``, the fuzz oracle's
 matrix — fails one of these tests instead of silently escaping
-coverage.
+coverage.  The attack runner launches every run through the mechanism
+the registry resolves, so the last two tests pin that launch path.
 """
+
+import dataclasses
 
 import pytest
 
+from repro.attacks.catalog import attack_by_name
+from repro.attacks.runner import _target_module, run_attack
 from repro.bench.harness import CONFIGS
+from repro.mechanisms.base import ProtectionMechanism, artifact_for
+from repro.mechanisms.bastion import BastionMechanism
 from repro.mechanisms.registry import (
     _ORDER,
     _REGISTRY,
@@ -19,6 +26,7 @@ from repro.mechanisms.registry import (
     named_defense_configs,
     spec_for,
 )
+from repro.monitor.policy import ContextPolicy
 
 
 def test_mechanism_names_cover_the_registry():
@@ -103,3 +111,48 @@ def test_legacy_reexports_still_resolve():
     assert reexported_matrix == FUZZ_MATRIX
     assert reexported_names == MECHANISM_NAMES
     assert issubclass(SfipOriginMechanism, SfipMechanism)
+
+
+def test_every_attack_run_launches_through_a_mechanism(monkeypatch):
+    """Undefended, BASTION and baseline attack runs share one launch path."""
+    launches = []
+
+    def counted(cls):
+        original = cls.launch
+
+        def launch(self, kernel, app, module):
+            launches.append(type(self).__name__)
+            return original(self, kernel, app, module)
+
+        monkeypatch.setattr(cls, "launch", launch)
+
+    counted(ProtectionMechanism)
+    counted(BastionMechanism)
+    spec = attack_by_name("control_jujutsu")
+    run_attack(spec, None, "none")
+    run_attack(spec, ContextPolicy.ct_only(), "CT")
+    run_attack(spec, None, "cet", defense=CONFIGS["cet"])
+    run_attack(spec, None, "sfip", defense=CONFIGS["sfip"])
+    assert launches == [
+        "StaticMechanism",
+        "BastionMechanism",
+        "StaticMechanism",
+        "SfipMechanism",
+    ]
+
+
+def test_bastion_attack_runs_enforce_the_shared_artifact():
+    """BASTION attack runs enforce the artifact SFIP derives its policy
+    from: one compile per target, from ``mechanisms.base.artifact_for``."""
+    spec = attack_by_name("control_jujutsu")
+    enforced = []
+
+    def stage(env):
+        enforced.append(env.monitor.artifact)
+        spec.stage(env)
+
+    outcome = run_attack(
+        dataclasses.replace(spec, stage=stage), ContextPolicy.full(), "full"
+    )
+    assert outcome.blocked
+    assert enforced[0] is artifact_for(spec.target, _target_module(spec.target))

@@ -61,7 +61,7 @@ class TestRunApp:
         assert protected.overhead_pct(base) > 0
 
     def test_custom_defense_config(self):
-        config = DefenseConfig("custom", cet=True, policy=ContextPolicy.ct_only(), instrumented=True)
+        config = DefenseConfig("custom", cet=True, policy=ContextPolicy.ct_only())
         result = run_app("vsftpd", config, scale=0.2)
         assert result.ok
         assert result.config == "custom"

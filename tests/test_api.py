@@ -40,7 +40,6 @@ class TestProtectConfig:
         defense = config.defense()
         assert defense.name == "mine"
         assert defense.policy == ContextPolicy.ct_cf()
-        assert defense.instrumented
         assert defense.extend_filesystem
 
 
