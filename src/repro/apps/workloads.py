@@ -33,9 +33,6 @@ class Workload:
         self.kernel = kernel
         self.proc = proc
         kernel.net.backlog_provider = self._provide
-        latency = getattr(self, "latency", None)
-        if latency is not None:
-            latency.bind(kernel.telemetry)
         return self
 
     def now(self):
@@ -60,38 +57,13 @@ class Workload:
 
 
 class LatencyStats:
-    """Per-request latency samples (cycles) with percentile summaries.
+    """Per-request latency samples (cycles) with percentile summaries."""
 
-    When :meth:`bind`-ed to a telemetry bus, every sample is published as
-    a ``('latency', <source>)`` event and the stats collect their samples
-    back through a bus subscription — i.e. the stats become a *view*: any
-    other producer emitting latency events for the same source is
-    aggregated identically.  Unbound (unit tests), samples are kept
-    locally and nothing else changes.
-    """
-
-    def __init__(self, source="request"):
+    def __init__(self):
         self.samples = []
-        self.source = source
-        self._bus = None
-
-    def bind(self, bus):
-        """Publish future samples on ``bus`` and collect them back."""
-        if self._bus is not None:
-            self._bus.unsubscribe(self._on_event)
-        self._bus = bus
-        bus.subscribe(self._on_event)
-        return self
-
-    def _on_event(self, record):
-        if record.kind == "latency" and record.event == self.source:
-            self.samples.append(record.cycles)
 
     def record(self, cycles):
-        if self._bus is not None:
-            self._bus.emit("latency", self.source, cycles=cycles)
-        else:
-            self.samples.append(cycles)
+        self.samples.append(cycles)
 
     def __len__(self):
         return len(self.samples)
@@ -445,69 +417,3 @@ class ConcurrentWrkWorkload(Workload):
             self._pending.pop(conn.serial, None)
             conn.closed = True
             self._inflight -= 1
-
-
-class ConcurrentDkftpbenchWorkload(Workload):
-    """dkftpbench with a bounded pool of concurrent FTP sessions.
-
-    Same pacing as :class:`DkftpbenchWorkload` (230 starts the first RETR,
-    each 226 the next), but at most ``max_inflight`` control sessions are
-    live at once and further sessions wait in ``BACKLOG_WAIT`` until one
-    QUITs.  Latency is one full transfer: RETR delivery to the ``226``
-    completion reply.
-    """
-
-    def __init__(self, sessions=12, files_per_session=6, max_inflight=4, port=FTP_PORT):
-        super().__init__()
-        self.sessions = sessions
-        self.files_per_session = files_per_session
-        self.max_inflight = max_inflight
-        self.port = port
-        self.stats = FtpStats()
-        self.latency = LatencyStats()
-        self._remaining = sessions
-        self._inflight = 0
-        self._files_left = {}
-        self._retr_at = {}
-
-    def next_connection(self, sock):
-        if sock.bound_port == self.port:
-            if self._remaining <= 0:
-                return None
-            if self._inflight >= self.max_inflight:
-                return BACKLOG_WAIT
-            self._remaining -= 1
-            self._inflight += 1
-            self.stats.sessions += 1
-            conn = Connection(peer_port=62000 + self._remaining)
-            self._files_left[conn.serial] = self.files_per_session
-            conn.deliver(FTP_LOGIN)
-            conn.on_server_write = self._on_control_write
-            return conn
-        # PASV data port: hand over a fresh data connection
-        self.stats.data_connections += 1
-        return Connection(peer_port=63000 + self.stats.data_connections)
-
-    def _on_control_write(self, conn, data_len, prefix):
-        code = prefix[:3]
-        if code == b"230":
-            self._send_next(conn)
-        elif code == b"226":
-            self.stats.transfers += 1
-            started = self._retr_at.pop(conn.serial, None)
-            if started is not None:
-                self.latency.record(max(self.now() - started, 0))
-            self._send_next(conn)
-        elif code == b"221":
-            self._files_left.pop(conn.serial, None)
-            conn.closed = True
-            self._inflight -= 1
-
-    def _send_next(self, conn):
-        left = self._files_left.get(conn.serial, 0)
-        if left > 0:
-            self._files_left[conn.serial] = left - 1
-            self._retr_at[conn.serial] = self.now()
-            conn.deliver(FTP_RETR)
-        else:
-            conn.deliver(FTP_QUIT)

@@ -16,12 +16,12 @@ import json
 import sys
 import time
 
+from repro.bench.experiments import stages
 from repro.bench.report import (
     RENDERERS,
     analysis_json,
-    binary_precision_json,
-    fuzz_json,
-    stages_json,
+    binary_precision_data,
+    fuzz_data,
 )
 
 _SCALED = {
@@ -39,9 +39,9 @@ _SCALED = {
 #: formatting make the output byte-stable for a given run
 _JSON_PAYLOADS = {
     "analysis": lambda args: analysis_json(),
-    "binary": lambda args: binary_precision_json(),
-    "fuzz": lambda args: fuzz_json(),
-    "stages": lambda args: stages_json(args.scale),
+    "binary": lambda args: binary_precision_data(),
+    "fuzz": lambda args: fuzz_data(),
+    "stages": lambda args: stages(args.scale),
 }
 
 #: short names accepted by ``--ablate``

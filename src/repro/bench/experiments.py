@@ -56,14 +56,6 @@ class PerfSweep:
             return result.notpm()
         return result.transfer_seconds()
 
-    @property
-    def metric_name(self):
-        return {
-            "nginx": "MB/sec",
-            "sqlite": "NOTPM",
-            "vsftpd": "sec/transfer",
-        }[self.app]
-
 
 def perf_sweep(scale=1.0, configs=FIGURE3_LADDER, apps=APPS):
     """Run every app across the config ladder (Figure 3 / Table 3 data)."""
@@ -332,17 +324,6 @@ def adaptive_study_rows():
     from repro.attacks.adaptive import adaptive_study
 
     return adaptive_study()
-
-
-def extended_table6():
-    """Table 6 plus the extension scenarios (extra ROP variants)."""
-    return table6_matrix(include_extra=True)
-
-
-def ablation_unwind_depth(scale=0.5):
-    """Stack-depth statistics for the §9.2 call-depth observation."""
-    _columns, depth_stats = table4(scale)
-    return depth_stats
 
 
 # ---------------------------------------------------------------------------

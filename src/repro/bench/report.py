@@ -411,12 +411,6 @@ def binary_precision_data(apps=APPS):
     return {app: binary_report(app)[1] for app in apps}
 
 
-def binary_precision_json(apps=APPS):
-    """JSON-ready recovered-vs-metadata summary — what
-    ``python -m repro.bench binary --json`` prints."""
-    return binary_precision_data(apps)
-
-
 def render_binary_precision():
     """Recovered-vs-metadata precision for the bench apps."""
     data = binary_precision_data()
@@ -534,15 +528,6 @@ _STAGE_DISPLAY = (
 _TOP_STAGES = ("block", "count", "seccomp", "trace_stop", "verify", "execute", "account")
 
 
-def stages_json(scale=1.0):
-    """JSON-ready payload of :func:`repro.bench.experiments.stages`.
-
-    ``{config: {work_units, total_cycles, stage_cycles}}`` — exactly the
-    ``stage.cycles.*`` counters each run's telemetry bus accumulated.
-    """
-    return stages(scale)
-
-
 def render_stages(scale=1.0):
     """Where the cycles go: per-stage attribution for nginx + wrk."""
     data = stages(scale)
@@ -621,10 +606,6 @@ def fuzz_data(corpus_path=None):
         "divergence_pairs": pair_counts,
         "faults": run_fault_campaign(),
     }
-
-
-def fuzz_json(corpus_path=None):
-    return fuzz_data(corpus_path)
 
 
 def render_fuzz():

@@ -45,10 +45,6 @@ class CFIFault(VMFault):
     """LLVM-CFI equivalence-class violation at an indirect callsite."""
 
 
-class DFIFault(VMFault):
-    """Data-flow-integrity violation (baseline defense)."""
-
-
 class ProcessKilled(ReproError):
     """The process was terminated (seccomp KILL, monitor verdict, signal)."""
 
@@ -78,10 +74,6 @@ class WouldBlock(ReproError):
 
 class KernelError(ReproError):
     """Internal kernel invariant violation (a bug in the simulation)."""
-
-
-class CompilerError(ReproError):
-    """BASTION compiler pass failure (analysis or instrumentation)."""
 
 
 class MonitorError(ReproError):

@@ -44,10 +44,6 @@ class StructType:
                 "struct %s has no field %r" % (self.name, field_name)
             ) from None
 
-    def field_at(self, offset):
-        """Inverse of :meth:`offset`."""
-        return self.fields[offset]
-
 
 @dataclass
 class GlobalVar:

@@ -21,7 +21,8 @@ Stage semantics (behavior-identical to the seed's inline path):
 - **block** — under a scheduler, raise ``WouldBlock`` for a syscall that
   cannot complete yet; runs *before* count/seccomp so a parked-and-
   restarted syscall is counted, filtered, and trace-stopped exactly once.
-- **count** — per-process and bus-global syscall counters.
+- **count** — the per-process, per-name count (``Process.syscall_counts``)
+  and the bus's ``dispatch.syscalls`` total.
 - **seccomp** — evaluate the attached filters; KILL raises, ERRNO
   short-circuits (``ctx.done``), TRACE/TRAP marks ``ctx.trace``.
 - **trace_stop** — stop into the tracer and charge the context-switch
@@ -29,10 +30,10 @@ Stage semantics (behavior-identical to the seed's inline path):
 - **verify** — enforce the tracer's verdict: re-raise the pending
   ``SyscallIntegrityViolation`` of a tracee the monitor killed.
 - **execute** — run the syscall handler; sets ``ctx.result``.
-- **account** — emit the structured per-dispatch telemetry event.
+- **account** — count the dispatch verdict (``dispatch.verdict.*``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import KernelError
 
@@ -102,10 +103,6 @@ class SyscallContext:
     done: bool = False
     #: dispatch outcome ('allow' | 'errno' | 'kill' | 'violation')
     verdict: str = "allow"
-    #: ledger cycle count when the dispatch entered the pipeline
-    start_cycles: int = 0
-    #: scratch space for mechanism hooks
-    extra: dict = field(default_factory=dict)
 
     def short_circuit(self, result, verdict):
         """Decide the syscall here; remaining stages (bar account) skip."""
@@ -280,7 +277,6 @@ class DispatchPipeline:
         """
         ledger = ctx.proc.ledger
         counters = self.bus.counters
-        ctx.start_cycles = ledger.cycles
         for stage, key, fn, needs_trace in self._plan:
             if ctx.done and stage != "account":
                 continue

@@ -12,7 +12,7 @@ Linux:
    short-circuits;
 3. **trace_stop/verify** — TRACE stops the process into its tracer (two
    context switches) and the monitor may kill it;
-4. **execute/account** — the handler runs, then telemetry is emitted.
+4. **execute/account** — the handler runs, then its verdict is counted.
 
 Protection mechanisms hook extra behavior into the pipeline via
 ``kernel.pipeline.insert`` instead of special cases here.
@@ -231,11 +231,10 @@ class Kernel:
         self.net = NetStack()
         self.processes = {}
         self._next_pid = 1000
-        #: the telemetry spine — every subsystem's counters/events land here
-        self.telemetry = TelemetryBus(capacity=events_capacity)
+        #: the telemetry spine — every subsystem's counters land here and
+        #: its events pass through to subscribers
+        self.telemetry = TelemetryBus()
         self.events = KernelEventLog(events_capacity, bus=self.telemetry)
-        #: interned "syscall.<name>" counter keys (dispatch hot path)
-        self._syscall_keys = {}
         #: the staged syscall path; mechanisms hook in via pipeline.insert
         self.pipeline = self._build_pipeline()
         #: set by repro.sched.Scheduler when it takes over clone/blocking
@@ -360,47 +359,13 @@ class Kernel:
             proc.seccomp_filters, [entry.nr for entry in SYSCALLS]
         )
 
-    def run_child(self, child, image, entry, args=(), cpu_options=None):
-        """Run a clone()d child at its start routine, to completion.
-
-        Scheduling is cooperative and sequential (the parent is stopped
-        while the child runs — DESIGN.md §6; use :class:`repro.sched.
-        Scheduler` for preemptive interleaving).  The child shares the
-        parent's memory and address space, and critically carries the
-        parent's seccomp filters and tracer, so a BASTION monitor protects
-        it identically (§7.1).  The child gets a disjoint stack region
-        from the collision-checked slot allocator, released when it exits.
-        """
-        from repro.vm.cpu import CPU, CPUOptions
-
-        stack_base = self.stacks.allocate(child.pid)
-        cpu = CPU(
-            image,
-            child,
-            self,
-            cpu_options or CPUOptions(),
-            entry=entry,
-            entry_args=args,
-            stack_base=stack_base,
-        )
-        try:
-            return cpu.run()
-        finally:
-            self.stacks.release(child.pid)
-
     def record(self, kind, proc, **details):
         """Publish a security-relevant action on the telemetry bus.
 
         The ``kernel.events`` ring mirrors these via its bus subscription,
         so the attack oracles keep reading the log they always read.
         """
-        self.telemetry.emit(
-            "kernel",
-            kind,
-            pid=proc.pid,
-            syscall=details.get("syscall"),
-            data=details,
-        )
+        self.telemetry.emit("kernel", kind, pid=proc.pid, data=details)
 
     def events_of(self, kind, allow_dropped=False):
         return self.events.events_of(kind, allow_dropped=allow_dropped)
@@ -443,15 +408,9 @@ class Kernel:
 
     @cycle_free
     def _stage_count(self, ctx):
-        name = ctx.name
-        ctx.proc.count_syscall(name)
+        ctx.proc.count_syscall(ctx.name)
         counters = self.telemetry.counters
         counters["dispatch.syscalls"] = counters.get("dispatch.syscalls", 0) + 1
-        keys = self._syscall_keys
-        key = keys.get(name)
-        if key is None:
-            key = keys[name] = "syscall." + name
-        counters[key] = counters.get(key, 0) + 1
 
     def _stage_seccomp(self, ctx):
         proc = ctx.proc
@@ -464,12 +423,10 @@ class Kernel:
             # Linux's per-nr action bitmap: an always-ALLOW syscall
             # never enters the BPF engine — one bit test and go.
             proc.seccomp_cache_hits += 1
-            self.telemetry.count("seccomp.cache_hits")
             proc.ledger.charge(self.costs.seccomp_cache_hit, "seccomp")
             return
         if cache is not None:
             proc.seccomp_cache_misses += 1
-            self.telemetry.count("seccomp.cache_misses")
         action, insns = evaluate_filters(
             proc.seccomp_filters,
             nr,
@@ -544,16 +501,9 @@ class Kernel:
         ctx.result = handler(ctx.proc, ctx.args)
 
     def _stage_account(self, ctx):
-        bus = self.telemetry
         key = _VERDICT_KEYS.get(ctx.verdict)
-        bus.count(key if key is not None else "dispatch.verdict." + ctx.verdict)
-        bus.emit(
-            "dispatch",
-            "syscall",
-            pid=ctx.proc.pid,
-            syscall=ctx.name,
-            verdict=ctx.verdict,
-            cycles=ctx.proc.ledger.cycles - ctx.start_cycles,
+        self.telemetry.count(
+            key if key is not None else "dispatch.verdict." + ctx.verdict
         )
 
     def _maybe_block(self, proc, name, args):
@@ -1194,8 +1144,8 @@ class Kernel:
         if self.scheduler is not None:
             # glibc clone convention in our apps: args[2] is the start
             # routine, args[3] its argument.  Under a scheduler the child
-            # is *enqueued* — it runs interleaved with the parent instead
-            # of being driven to completion by run_child.
+            # is *enqueued* and runs interleaved with the parent; without
+            # one it keeps its PCB and never runs (DESIGN.md §6).
             fn_addr = self._arg(args, 2)
             if fn_addr:
                 self.scheduler.spawn(
@@ -1236,8 +1186,8 @@ class Kernel:
 
     def _sys_wait4(self, proc, args):
         if self.scheduler is None:
-            # Legacy mode: children run synchronously, so by wait4 time the
-            # last child has already finished — report its pid.
+            # Unscheduled mode: clone()d children never run, so there is
+            # nothing to wait for — report the newest child's pid.
             if proc.children:
                 return proc.children[-1].pid
             return -errno.ESRCH

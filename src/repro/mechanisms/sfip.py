@@ -26,11 +26,11 @@ precision contrast, not the enforced artifact) and install two things:
 Scheduler correctness: per-pid state lives in a plain dict keyed by pid;
 a clone()/fork() child *snapshots its parent's state at the spawn
 dispatch* — the mechanism subscribes to the kernel telemetry bus and
-copies state when the spawn event fires, which happens at the same
-dispatch instant under the cooperative runner and the preemptive
-scheduler, so verdicts are quantum-independent (the parent's state is
-already ``clone`` when the hook advanced it at the seccomp stage, hence
-the engine's ``clone -> first(thread_entry)`` edges line up).
+copies state when the spawn event fires, which happens at the spawn
+dispatch itself with or without the preemptive scheduler, so verdicts
+are quantum-independent (the parent's state is already ``clone`` when
+the hook advanced it at the seccomp stage, hence the engine's
+``clone -> first(thread_entry)`` edges line up).
 
 Cycle attribution: the check charges ``costs.sfip_check`` (or
 ``sfip_origin_check``) to the ``sfip`` ledger category, and — like every
@@ -108,9 +108,8 @@ class SfipMechanism(ProtectionMechanism):
 
         def snapshot_child(event):
             # A spawned child inherits its parent's flow state at the
-            # spawn dispatch — the one bus event both the cooperative
-            # runner and the preemptive scheduler emit at the same
-            # dispatch instant (Kernel._spawn_child).
+            # spawn dispatch — the bus event Kernel._spawn_child emits
+            # whether or not a scheduler later runs the child.
             if event.kind != "kernel" or event.event not in ("clone", "fork"):
                 return
             child_pid = (event.data or {}).get("child_pid")

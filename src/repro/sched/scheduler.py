@@ -1,9 +1,9 @@
 """A deterministic preemptive round-robin scheduler over Process PCBs.
 
-The seed ran clone()d children "cooperative and sequential" — the parent
-stopped while each child ran to completion — so a multi-worker server
-served exactly one connection at a time.  This module timeslices one
-simulated CPU across every runnable process by **cycle quantum**:
+Without a scheduler a clone()d child gets a PCB and never runs, so a
+multi-worker server is its master alone.  This module runs children: it
+timeslices one simulated CPU across every runnable process by **cycle
+quantum**:
 
 - the run queue holds :class:`Task` objects (a PCB plus its interpreter
   CPU); each pick runs at most ``quantum`` cycles before being preempted
@@ -13,9 +13,9 @@ simulated CPU across every runnable process by **cycle quantum**:
   each syscall stop exactly once) and the scheduler parks the task until
   its wake predicate — backlog non-empty, data arrived, child exited —
   turns true;
-- ``fork``/``clone`` **enqueue** the child instead of running it inline;
-  stacks come from the collision-checked
-  :class:`~repro.sched.stackalloc.StackSlotAllocator` and are released on
+- ``clone`` **enqueues** the child at its start routine; its stack
+  comes from the collision-checked
+  :class:`~repro.sched.stackalloc.StackSlotAllocator` and is released on
   exit;
 - a **global cycle clock** (:meth:`Scheduler.now`) advances with whichever
   task is running, giving workloads a single timeline for per-request
@@ -94,12 +94,11 @@ class Task:
 class Scheduler:
     """Round-robin, cycle-quantum preemptive scheduler for one kernel."""
 
-    def __init__(self, kernel, quantum=DEFAULT_QUANTUM, charge_switches=True):
+    def __init__(self, kernel, quantum=DEFAULT_QUANTUM):
         if quantum < 1:
             raise KernelError("quantum must be >= 1 cycle")
         self.kernel = kernel
         self.quantum = quantum
-        self.charge_switches = charge_switches
         self.tasks = {}  # pid -> Task (all tasks ever added)
         self._runq = deque()
         self._blocked = []  # parked Tasks, in block order (deterministic)
@@ -250,11 +249,10 @@ class Scheduler:
         self._runq.append(task)
 
     def _charge_switch(self, task):
-        if self.charge_switches:
-            cost = task.proc.ledger_costs.context_switch
-            task.proc.ledger.charge(cost, "sched")
-            self.stats.switch_cycles += cost
-            self._elapsed += cost  # switch overhead is wall-clock time too
+        cost = task.proc.ledger_costs.context_switch
+        task.proc.ledger.charge(cost, "sched")
+        self.stats.switch_cycles += cost
+        self._elapsed += cost  # switch overhead is wall-clock time too
 
     def _finish(self, task, status):
         proc = task.proc
@@ -270,21 +268,3 @@ class Scheduler:
         proc.state = REAPED if proc.reaped else ZOMBIE
         if task.owns_stack:
             self.kernel.stacks.release(proc.pid)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def runnable_count(self):
-        return len(self._runq)
-
-    @property
-    def blocked_count(self):
-        return len(self._blocked)
-
-    def state_of(self, pid):
-        task = self.tasks.get(pid)
-        if task is None:
-            return self.kernel.processes[pid].state if pid in self.kernel.processes else None
-        return task.proc.state

@@ -11,8 +11,8 @@ replaces the modulo with bookkeeping:
 - each child gets the **lowest-numbered free slot** (deterministic across
   runs), recorded against its pid;
 - :meth:`release` returns the slot to the free pool when the process exits
-  (the scheduler and ``Kernel.run_child`` both release), so pid reuse can
-  never alias a *live* stack;
+  (the scheduler releases it when a spawned child finishes), so pid reuse
+  can never alias a *live* stack;
 - handing the same slot to two live pids raises :class:`KernelError`
   instead of silently corrupting memory.
 """

@@ -2,8 +2,8 @@
 
 Public surface:
 
-- :class:`TelemetryBus` — bounded event ring + aggregate counters;
-- :class:`TelemetryEvent` — the structured record every stage emits;
+- :class:`TelemetryBus` — subscribable event stream + aggregate counters;
+- :class:`TelemetryEvent` — the structured record subscribers receive;
 - :class:`BusView` / :class:`BusCounter` / :class:`BusMax` — the
   descriptor toolkit that turns legacy stats objects into bus views.
 """

@@ -49,7 +49,7 @@ class BusView:
     """
 
     def __init__(self, bus=None):
-        self._bus = bus if bus is not None else TelemetryBus(capacity=1024)
+        self._bus = bus if bus is not None else TelemetryBus()
 
     @property
     def bus(self):

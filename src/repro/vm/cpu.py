@@ -21,7 +21,7 @@ Faithfulness properties that matter for the paper's experiments:
   as arbitrary code execution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     CFIFault,
@@ -106,9 +106,7 @@ class CPUStats:
     calls: int = 0
     indirect_calls: int = 0
     rets: int = 0
-    syscalls: int = 0
     instrumentation_hits: int = 0
-    syscall_counts: dict = field(default_factory=dict)
 
 
 class CPU:
@@ -531,20 +529,9 @@ class CPU:
 
     def _do_syscall(self, instr):
         args = [_wrap(self._value(a)) for a in instr.args]
-        self.stats.syscalls += 1
-        self.stats.syscall_counts[instr.name] = (
-            self.stats.syscall_counts.get(instr.name, 0) + 1
-        )
         self.proc.set_registers(instr.name, args, self.rip, self.fp, self.sp)
         self.ledger.charge(self.costs.syscall_base, "kernel")
-        try:
-            result = self.kernel.dispatch(self.proc, instr.name, args)
-        except WouldBlock:
-            # The syscall will restart: un-count this attempt so the stats
-            # reflect completed dispatches regardless of interleaving.
-            self.stats.syscalls -= 1
-            self.stats.syscall_counts[instr.name] -= 1
-            raise
+        result = self.kernel.dispatch(self.proc, instr.name, args)
         if instr.dst is not None:
             self._set_var(instr.dst, result)
 

@@ -539,14 +539,11 @@ def decode_function(cpu, func):
         return op
 
     def make_syscall(instr):
-        from repro.errors import WouldBlock
-
         readers = [reader(a) for a in instr.args]
         name = instr.name
         dst_off = offs[instr.dst] if instr.dst is not None else None
         dispatch = cpu.kernel.dispatch
         set_registers = proc.set_registers
-        syscall_counts = stats.syscall_counts
         c_sys = costs.syscall_base
 
         def op():
@@ -556,17 +553,10 @@ def decode_function(cpu, func):
                 if v >= _HALF:
                     v -= _FULL
                 args.append(v)
-            stats.syscalls += 1
-            syscall_counts[name] = syscall_counts.get(name, 0) + 1
             set_registers(name, args, cpu.rip, cpu.fp, cpu.sp)
             ledger.cycles += c_sys
             bc["kernel"] = bc.get("kernel", 0) + c_sys
-            try:
-                result = dispatch(proc, name, args)
-            except WouldBlock:
-                stats.syscalls -= 1
-                syscall_counts[name] -= 1
-                raise
+            result = dispatch(proc, name, args)
             if dst_off is not None:
                 v = result & _M64
                 if v >= _HALF:

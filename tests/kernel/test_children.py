@@ -6,7 +6,7 @@ from repro.ir.builder import ModuleBuilder
 from repro.kernel.kernel import Kernel
 from repro.monitor.monitor import BastionMonitor
 from repro.monitor.policy import ContextPolicy
-from repro.vm.cpu import CPUOptions
+from repro.vm.cpu import CPU, CPUOptions
 from tests.conftest import make_wrapper
 
 
@@ -46,10 +46,23 @@ def _launch():
     return kernel, monitor, proc, child, cpu.image, region
 
 
+def _child_cpu(kernel, child, image, region):
+    """A CPU for the clone()d child at its start routine, on its own stack."""
+    return CPU(
+        image,
+        child,
+        kernel,
+        CPUOptions(),
+        entry="worker_start",
+        entry_args=[region],
+        stack_base=kernel.stacks.allocate(child.pid),
+    )
+
+
 class TestChildExecution:
     def test_child_runs_start_routine(self):
         kernel, monitor, _proc, child, image, region = _launch()
-        status = kernel.run_child(child, image, "worker_start", [region])
+        status = _child_cpu(kernel, child, image, region).run()
         assert status.kind == "returned"
         assert child.syscall_counts.get("mprotect") == 1
 
@@ -57,25 +70,14 @@ class TestChildExecution:
         """The child's sensitive syscall stops into the same monitor."""
         kernel, monitor, _proc, child, image, region = _launch()
         before = monitor.stats.hook_counts.get("mprotect", 0)
-        kernel.run_child(child, image, "worker_start", [region])
+        _child_cpu(kernel, child, image, region).run()
         assert monitor.stats.hook_counts["mprotect"] == before + 1
         assert monitor.violations == []
 
     def test_child_attack_blocked(self):
         """Corruption inside the child is caught like in the parent."""
         kernel, monitor, _proc, child, image, region = _launch()
-        from repro.vm.cpu import CPU, CPUOptions
-        from repro.vm.loader import STACK_TOP
-
-        cpu = CPU(
-            image,
-            child,
-            kernel,
-            CPUOptions(),
-            entry="worker_start",
-            entry_args=[region],
-            stack_base=STACK_TOP - (1 << 30),
-        )
+        cpu = _child_cpu(kernel, child, image, region)
 
         def corrupt(c):
             c.proc.memory.write(c.local_addr("prot"), 7)
@@ -110,19 +112,9 @@ class TestChildExecution:
         assert cpu.run().kind == "returned"
         (child,) = proc.children
 
-        from repro.vm.cpu import CPU, CPUOptions
-        from repro.vm.loader import STACK_TOP
         from repro.vm.memory import WORD
 
-        cpu2 = CPU(
-            image=monitor.image,
-            proc=child,
-            kernel=kernel,
-            options=CPUOptions(),
-            entry="worker_start",
-            entry_args=[0],
-            stack_base=STACK_TOP - (1 << 30),
-        )
+        cpu2 = _child_cpu(kernel, child, monitor.image, 0)
 
         def rogue(c):
             fake = 0x7F45_0000_0000

@@ -15,7 +15,6 @@ from repro.kernel.dispatch import (
     STAGE_ORDER,
     DispatchPipeline,
     StageOrderError,
-    SyscallContext,
     cycle_free,
 )
 from repro.kernel.kernel import Kernel
@@ -117,13 +116,14 @@ class TestFusedAttributionParity:
         fused = {
             k: v
             for k, v in fused_kernel.telemetry.counters.items()
-            if k.startswith("dispatch.verdict.") or k.startswith("syscall.")
+            if k == "dispatch.syscalls" or k.startswith("dispatch.verdict.")
         }
         ref = {
             k: v
             for k, v in ref_kernel.telemetry.counters.items()
-            if k.startswith("dispatch.verdict.") or k.startswith("syscall.")
+            if k == "dispatch.syscalls" or k.startswith("dispatch.verdict.")
         }
+        assert fused["dispatch.syscalls"] == 6
         assert fused == ref
 
     def _kill_filter(self):

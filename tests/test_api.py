@@ -1,5 +1,8 @@
 """Tests for the stable public API surface (repro.api)."""
 
+import pathlib
+import re
+
 import pytest
 
 import repro
@@ -23,6 +26,15 @@ class TestExports:
         assert repro.protect is protect
         assert repro.RunResult is RunResult
         assert repro.SyscallIntegrityViolation is SyscallIntegrityViolation
+
+    def test_package_version_matches_pyproject(self):
+        # a regex, not tomllib: Python 3.10 has no TOML parser
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        match = re.search(
+            r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE
+        )
+        assert match is not None
+        assert match.group(1) == repro.__version__
 
 
 class TestProtectConfig:

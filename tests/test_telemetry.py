@@ -1,7 +1,9 @@
-"""Unit tests for the telemetry spine (bus, ring, counters, views)."""
+"""Unit tests for the telemetry spine (bus, events, counters, views)."""
 
-import pytest
+import gc
+import weakref
 
+from repro.kernel.kernel import Kernel
 from repro.telemetry import (
     STAGE_CYCLES_PREFIX,
     BusCounter,
@@ -9,6 +11,7 @@ from repro.telemetry import (
     BusView,
     TelemetryBus,
 )
+from tests.conftest import run_main
 
 
 class TestCounters:
@@ -43,32 +46,18 @@ class TestCounters:
 
 
 class TestEventRing:
-    def test_bounded_ring_counts_drops(self):
-        bus = TelemetryBus(capacity=3)
-        for i in range(5):
-            bus.emit("kind", "e%d" % i)
-        assert len(bus) == 3
-        assert bus.dropped == 2
-        assert bus.total == 5
-        assert [e.event for e in bus.events()] == ["e2", "e3", "e4"]
+    """The event path: every emit reaches every subscriber."""
 
-    def test_query_filters(self):
+    def test_subscribers_see_every_event_in_order(self):
         bus = TelemetryBus()
-        bus.emit("kernel", "mmap_exec", pid=1)
-        bus.emit("kernel", "setuid", pid=2)
-        bus.emit("dispatch", "syscall", pid=1, syscall="open")
-        assert len(bus.query(kind="kernel")) == 2
-        assert len(bus.query(pid=1)) == 2
-        assert [e.syscall for e in bus.query(kind="dispatch")] == ["open"]
-
-    def test_subscribers_see_every_event_despite_eviction(self):
-        bus = TelemetryBus(capacity=2)
-        seen = []
-        bus.subscribe(lambda e: seen.append(e.event))
+        first, second = [], []
+        bus.subscribe(lambda e: first.append(e.event))
+        bus.subscribe(lambda e: second.append(e.event))
         for i in range(10):
             bus.emit("k", "e%d" % i)
-        assert len(seen) == 10  # the ring kept 2, the subscriber kept all
-        assert len(bus) == 2
+        expected = ["e%d" % i for i in range(10)]
+        assert first == expected
+        assert second == expected
 
     def test_unsubscribe(self):
         bus = TelemetryBus()
@@ -79,25 +68,50 @@ class TestEventRing:
         bus.emit("k", "two")
         assert len(seen) == 1
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TelemetryBus(capacity=0)
+
+def _getpid_setuid(f):
+    for _ in range(5):
+        f.syscall("getpid", [])
+    f.syscall("setuid", [0])
+
+
+class TestPublishRetainsNothing:
+    """A kernel run publishes only security-relevant events, and the bus
+    keeps none of them: subscribers are the only retention."""
+
+    def test_dispatch_publishes_only_kernel_events(self):
+        kernel = Kernel()
+        seen = []
+        kernel.telemetry.subscribe(seen.append)
+        status, _proc, _cpu = run_main(_getpid_setuid, kernel=kernel)
+        assert status.ok
+        assert {e.kind for e in seen} == {"kernel"}
+        assert [e.event for e in seen] == ["setuid"]
+        assert len(seen) == kernel.events.total
+
+    def test_published_events_are_not_kept_alive(self):
+        kernel = Kernel()
+        refs = []
+        kernel.telemetry.subscribe(lambda e: refs.append(weakref.ref(e)))
+        run_main(_getpid_setuid, kernel=kernel)
+        gc.collect()
+        assert refs
+        assert all(ref() is None for ref in refs)
+        assert kernel.events.events_of("setuid")
 
 
 class TestAbsorb:
-    def test_absorb_merges_counters_maxima_and_ring(self):
+    def test_absorb_merges_counters_and_maxima(self):
         a, b = TelemetryBus(), TelemetryBus()
         a.count("x", 1)
         b.count("x", 2)
         b.count("y", 3)
         a.record_max("m", 5)
         b.record_max("m", 4)
-        b.emit("k", "e")
         a.absorb(b)
         assert a.get("x") == 3
         assert a.get("y") == 3
         assert a.max_of("m") == 5
-        assert [e.event for e in a.events()] == ["e"]
 
     def test_absorb_self_is_noop(self):
         bus = TelemetryBus()

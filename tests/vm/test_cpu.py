@@ -2,7 +2,6 @@
 
 from hypothesis import given, strategies as st
 
-from repro.errors import CFIFault
 from repro.ir.builder import ModuleBuilder
 from repro.vm.cpu import CPUOptions, _wrap
 from repro.vm.loader import STACK_TOP
