@@ -22,6 +22,7 @@ import json
 import sys
 
 from repro.analyze.runner import analyze_app
+from repro.analyze.waivers import SHIPPED_WAIVERS, apply_waivers
 from repro.apps import SYNTHETIC_APPS
 
 
@@ -32,21 +33,10 @@ def main(argv=None):
         return _binary_main(argv[1:])
     if argv and argv[0] == "sfip":
         return _sfip_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analyze",
-        description="Run the BASTION static-analysis pass suite over "
-        "compiled synthetic apps.",
-    )
-    parser.add_argument(
-        "apps",
-        nargs="*",
-        metavar="app",
-        help="registered app name(s): %s" % ", ".join(sorted(SYNTHETIC_APPS)),
-    )
-    parser.add_argument(
-        "--all",
-        action="store_true",
-        help="analyze every registered app",
+    parser = _parser(
+        "python -m repro.analyze",
+        "Run the BASTION static-analysis pass suite over compiled "
+        "synthetic apps.",
     )
     parser.add_argument(
         "--format",
@@ -54,35 +44,10 @@ def main(argv=None):
         default="text",
         help="report format (default: text)",
     )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on any unwaived finding, not just errors",
-    )
-    parser.add_argument(
-        "--no-waivers",
-        action="store_true",
-        help="ignore the shipped waiver table and show raw findings",
-    )
     args = parser.parse_args(argv)
 
-    if args.all:
-        names = sorted(SYNTHETIC_APPS)
-    else:
-        names = args.apps
-    if not names:
-        parser.error("name at least one app, or pass --all")
-    unknown = [n for n in names if n not in SYNTHETIC_APPS]
-    if unknown:
-        parser.error("unknown app(s): %s" % ", ".join(unknown))
-
-    waivers = () if args.no_waivers else None
-    reports = []
-    for name in names:
-        if waivers is None:
-            reports.append(analyze_app(name))
-        else:
-            reports.append(analyze_app(name, waivers=waivers))
+    waivers = () if args.no_waivers else SHIPPED_WAIVERS
+    reports = [analyze_app(name, waivers=waivers) for name in _names(parser, args)]
 
     if args.format == "json":
         payload = {r.program: r.to_dict() for r in reports}
@@ -103,62 +68,20 @@ def _binary_main(argv):
         check_precision_regressions,
         precision_payload_json,
     )
-    from repro.analyze.waivers import SHIPPED_WAIVERS, apply_waivers
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analyze binary",
-        description="Run the metadata-free binary-level analyzer and "
-        "report recovered-vs-metadata precision per app.",
-    )
-    parser.add_argument(
-        "apps",
-        nargs="*",
-        metavar="app",
-        help="registered app name(s): %s" % ", ".join(sorted(SYNTHETIC_APPS)),
-    )
-    parser.add_argument(
-        "--all", action="store_true", help="analyze every registered app"
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the byte-stable precision payload instead of text",
-    )
-    parser.add_argument(
-        "--write",
-        metavar="PATH",
-        help="write the precision payload to PATH (pins the CI baseline)",
-    )
-    parser.add_argument(
-        "--check",
-        metavar="PATH",
-        help="diff the precision payload against the baseline at PATH; "
-        "fail on any recovered-table regression",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on any unwaived finding, not just errors",
-    )
-    parser.add_argument(
-        "--no-waivers",
-        action="store_true",
-        help="ignore the shipped waiver table and show raw findings",
+    parser = _parser(
+        "python -m repro.analyze binary",
+        "Run the metadata-free binary-level analyzer and report "
+        "recovered-vs-metadata precision per app.",
+        payload="precision",
     )
     args = parser.parse_args(argv)
-
-    names = sorted(SYNTHETIC_APPS) if args.all else args.apps
-    if not names:
-        parser.error("name at least one app, or pass --all")
-    unknown = [n for n in names if n not in SYNTHETIC_APPS]
-    if unknown:
-        parser.error("unknown app(s): %s" % ", ".join(unknown))
 
     waivers = () if args.no_waivers else SHIPPED_WAIVERS
     payload = {}
     failed = False
     text_lines = []
-    for name in sorted(names):
+    for name in sorted(_names(parser, args)):
         diagnostics, metrics = binary_report(name)
         kept, waived = apply_waivers(name, diagnostics, waivers)
         payload[name] = metrics
@@ -168,23 +91,10 @@ def _binary_main(argv):
         if not args.json:
             text_lines.extend(_binary_text(name, metrics, kept, waived))
 
-    if args.json:
-        print(precision_payload_json(payload))
-    else:
-        print("\n".join(text_lines))
-
-    if args.write:
-        with open(args.write, "w") as fh:
-            fh.write(precision_payload_json(payload) + "\n")
-    if args.check:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        regressions = check_precision_regressions(baseline, payload)
-        for line in regressions:
-            print("REGRESSION: %s" % line, file=sys.stderr)
-        if regressions:
-            failed = True
-    return 1 if failed else 0
+    regressed = _emit_pinned(
+        args, payload, text_lines, precision_payload_json, check_precision_regressions
+    )
+    return 1 if failed or regressed else 0
 
 
 def _sfip_main(argv):
@@ -195,11 +105,35 @@ def _sfip_main(argv):
         sfip_text,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analyze sfip",
-        description="Report syscall-transition precision: the "
-        "CompiledPolicy emitted by the flowgraph and binary producers.",
+    parser = _parser(
+        "python -m repro.analyze sfip",
+        "Report syscall-transition precision: the CompiledPolicy emitted "
+        "by the flowgraph and binary producers.",
+        payload="transition-precision",
+        findings=False,
     )
+    args = parser.parse_args(argv)
+
+    payload = {}
+    text_lines = []
+    for name in sorted(_names(parser, args)):
+        report = sfip_report(name)
+        payload[name] = report
+        if not args.json:
+            text_lines.extend(sfip_text(name, report))
+
+    regressed = _emit_pinned(
+        args, payload, text_lines, sfip_payload_json, check_sfip_regressions
+    )
+    return 1 if regressed else 0
+
+
+def _parser(prog, description, payload=None, findings=True):
+    """The subcommands' shared parser: ``apps``/``--all``, the finding
+    gate (``--strict``/``--no-waivers``) when the subcommand reports
+    ``findings``, and ``--json``/``--write``/``--check`` when it pins a
+    ``payload`` (named in the help text)."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument(
         "apps",
         nargs="*",
@@ -209,57 +143,64 @@ def _sfip_main(argv):
     parser.add_argument(
         "--all", action="store_true", help="analyze every registered app"
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the byte-stable transition-precision payload",
-    )
-    parser.add_argument(
-        "--write",
-        metavar="PATH",
-        help="write the payload to PATH (pins the CI baseline)",
-    )
-    parser.add_argument(
-        "--check",
-        metavar="PATH",
-        help="diff the payload against the baseline at PATH; fail on any "
-        "transition-graph regression",
-    )
-    args = parser.parse_args(argv)
+    if payload is not None:
+        parser.add_argument(
+            "--json",
+            action="store_true",
+            help="emit the byte-stable %s payload instead of text" % payload,
+        )
+        parser.add_argument(
+            "--write",
+            metavar="PATH",
+            help="write the %s payload to PATH (pins the CI baseline)" % payload,
+        )
+        parser.add_argument(
+            "--check",
+            metavar="PATH",
+            help="diff the %s payload against the baseline at PATH; fail on "
+            "any regression" % payload,
+        )
+    if findings:
+        parser.add_argument(
+            "--strict",
+            action="store_true",
+            help="fail on any unwaived finding, not just errors",
+        )
+        parser.add_argument(
+            "--no-waivers",
+            action="store_true",
+            help="ignore the shipped waiver table and show raw findings",
+        )
+    return parser
 
+
+def _names(parser, args):
+    """The apps to analyze (``--all``: every registered one, sorted);
+    exits with a usage error when none or an unknown one is named."""
     names = sorted(SYNTHETIC_APPS) if args.all else args.apps
     if not names:
         parser.error("name at least one app, or pass --all")
     unknown = [n for n in names if n not in SYNTHETIC_APPS]
     if unknown:
         parser.error("unknown app(s): %s" % ", ".join(unknown))
+    return names
 
-    payload = {}
-    text_lines = []
-    for name in sorted(names):
-        report = sfip_report(name)
-        payload[name] = report
-        if not args.json:
-            text_lines.extend(sfip_text(name, report))
 
-    if args.json:
-        print(sfip_payload_json(payload))
-    else:
-        print("\n".join(text_lines))
-
-    failed = False
+def _emit_pinned(args, payload, text_lines, to_json, regressions_of):
+    """Print the payload (``--json``) or the text report, pin it
+    (``--write``) and diff it against a baseline (``--check``, regressions
+    to stderr).  Returns whether ``--check`` found a regression."""
+    print(to_json(payload) if args.json else "\n".join(text_lines))
     if args.write:
         with open(args.write, "w") as fh:
-            fh.write(sfip_payload_json(payload) + "\n")
-    if args.check:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        regressions = check_sfip_regressions(baseline, payload)
-        for line in regressions:
-            print("REGRESSION: %s" % line, file=sys.stderr)
-        if regressions:
-            failed = True
-    return 1 if failed else 0
+            fh.write(to_json(payload) + "\n")
+    if not args.check:
+        return False
+    with open(args.check) as fh:
+        regressions = regressions_of(json.load(fh), payload)
+    for line in regressions:
+        print("REGRESSION: %s" % line, file=sys.stderr)
+    return bool(regressions)
 
 
 def _binary_text(name, metrics, kept, waived):

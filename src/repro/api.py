@@ -37,6 +37,7 @@ from repro.bench.harness import (
     run_app_scheduled,
 )
 from repro.compiler.pipeline import BastionCompiler
+from repro.mechanisms import MECHANISM_NAMES
 from repro.monitor.monitor import SyscallIntegrityViolation
 from repro.monitor.policy import ContextPolicy
 
@@ -70,8 +71,6 @@ class ProtectConfig:
     mechanism: str = "bastion"
 
     def __post_init__(self):
-        from repro.mechanisms import MECHANISM_NAMES
-
         if self.mechanism not in MECHANISM_NAMES:
             raise ValueError(
                 "unknown mechanism %r (expected one of %s)"
@@ -91,9 +90,7 @@ class ProtectConfig:
                     "BASTION mechanism; they do not apply to mechanism=%r"
                     % (self.mechanism,)
                 )
-            from repro.mechanisms import defense_for_mechanism
-
-            return defense_for_mechanism(self.mechanism, self.label)
+            return DefenseConfig(self.label or self.mechanism, baseline=self.mechanism)
         return DefenseConfig(
             self.label or "bastion",
             cet=self.cet,

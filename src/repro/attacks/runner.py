@@ -243,7 +243,7 @@ def run_attack(spec, policy=None, defense_name=None, defense=None, quantum=None)
 
     CET is disabled by default: the Table 6 study evaluates BASTION's
     contexts on their own (§10.1 explicitly covers the no-CET case).  Pass
-    a ``defense`` DefenseConfig instead to run under any registered
+    a ``defense`` DefenseConfig instead to run under any named
     mechanism — the hardware/compiler baselines (``CONFIGS["cet"]``,
     ``CONFIGS["llvm_cfi"]``), the filtering baselines, binary-only, SFIP.
 

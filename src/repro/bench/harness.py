@@ -22,6 +22,7 @@ from repro.apps.sqlite import DB_PATH, JOURNAL_PATH, SqliteConfig, build_sqlite
 from repro.apps.vsftpd import FILE_PATH, VsftpdConfig, build_vsftpd
 from repro.apps.workloads import Dbt2Workload, DkftpbenchWorkload, WrkWorkload
 from repro.kernel.kernel import Kernel
+from repro.mechanisms import MECHANISMS, StaticMechanism
 from repro.monitor.policy import ContextPolicy
 from repro.vm.cpu import CPUOptions
 
@@ -41,26 +42,29 @@ class DefenseConfig:
 
     name: str
     cet: bool = False
-    llvm_cfi: bool = False
-    dfi: bool = False
     #: None = no monitor; otherwise the ContextPolicy BASTION enforces
     #: over its instrumented binary
     policy: object = None
     #: compile/monitor with the §11.2 filesystem extension set
     extend_filesystem: bool = False
-    #: non-BASTION software mechanism: 'seccomp_allowlist' | 'temporal'
-    #: | 'debloat' | 'binary_only' | 'sfip' | 'sfip_origin' (None =
-    #: static CPU flags only)
+    #: a non-BASTION ``repro.mechanisms.MECHANISMS`` name ('llvm_cfi',
+    #: 'dfi', 'seccomp_allowlist', 'sfip', ...); None = CET flag only
     baseline: str = None
 
     def cpu_options(self):
-        return CPUOptions(cet=self.cet, llvm_cfi=self.llvm_cfi, dfi=self.dfi)
+        return CPUOptions(
+            cet=self.cet,
+            llvm_cfi=self.baseline == "llvm_cfi",
+            dfi=self.baseline == "dfi",
+        )
 
     def mechanism(self):
         """The :class:`ProtectionMechanism` implementing this config."""
-        from repro.mechanisms import mechanism_for
-
-        return mechanism_for(self)
+        if self.policy is not None:
+            return MECHANISMS["bastion"](self)
+        if self.baseline is not None:
+            return MECHANISMS[self.baseline](self)
+        return StaticMechanism(self)
 
 
 def _full():
@@ -114,20 +118,7 @@ CONFIGS = {
     "cache_off": DefenseConfig("cache_off", cet=True, policy=_full()),
 }
 
-# Every *named* non-BASTION mechanism (llvm_cfi, dfi, the filtering
-# baselines, binary_only, sfip, sfip_origin) gets its config from the
-# one registry — repro.mechanisms.registry is the source of truth, so a
-# newly registered mechanism is benchmarkable and fuzzable without
-# touching this dict (tests/baselines/test_registry.py pins that).
-
-
-def _named_configs():
-    from repro.mechanisms.registry import named_defense_configs
-
-    return named_defense_configs()
-
-
-CONFIGS.update(_named_configs())
+CONFIGS.update((n, DefenseConfig(n, baseline=n)) for n in MECHANISMS if n != "bastion")
 
 #: the Figure 3 x-axis, in order
 FIGURE3_LADDER = ("llvm_cfi", "cet", "cet_ct", "cet_ct_cf", "cet_ct_cf_ai")

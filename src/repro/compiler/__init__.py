@@ -28,7 +28,7 @@ from repro.compiler.metadata import (
     ArgBindingMeta,
     SiteKey,
 )
-from repro.compiler.pipeline import BastionCompiler, BastionArtifact, protect
+from repro.compiler.pipeline import BastionCompiler, BastionArtifact
 
 __all__ = [
     "CallTypeInfo",
@@ -45,5 +45,4 @@ __all__ = [
     "SiteKey",
     "BastionCompiler",
     "BastionArtifact",
-    "protect",
 ]

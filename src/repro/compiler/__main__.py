@@ -6,33 +6,24 @@ Usage::
     python -m repro.compiler sqlite --metadata sqlite.bastion.json
     python -m repro.compiler myprog.ir --dump-ir --extend-fs
 
-The positional argument is either a built-in application name or a path to
-a textual-IR file (the format produced by ``repro.ir.format_module``).
+The positional argument is either a registered application name
+(``repro.apps.SYNTHETIC_APPS``) or a path to a textual-IR file (the
+format produced by ``repro.ir.format_module``).
 """
 
 import argparse
 import sys
 
+from repro.apps import SYNTHETIC_APPS
 from repro.compiler.pipeline import BastionCompiler
 from repro.ir.parser import parse_module
 from repro.ir.printer import format_module
 
-_BUILTIN_APPS = {
-    "nginx": "repro.apps.nginx:build_nginx",
-    "sqlite": "repro.apps.sqlite:build_sqlite",
-    "vsftpd": "repro.apps.vsftpd:build_vsftpd",
-    "httpd": "repro.apps.httpd:build_httpd",
-    "browser": "repro.apps.browser:build_browser",
-    "mediasrv": "repro.apps.mediasrv:build_mediasrv",
-}
-
 
 def load_target(target):
-    """Resolve a CLI target to a Module: builtin app name or .ir file."""
-    if target in _BUILTIN_APPS:
-        module_path, func_name = _BUILTIN_APPS[target].split(":")
-        mod = __import__(module_path, fromlist=[func_name])
-        return getattr(mod, func_name)()
+    """Resolve a CLI target to a Module: registered app name or .ir file."""
+    if target in SYNTHETIC_APPS:
+        return SYNTHETIC_APPS[target]()
     with open(target, "r") as handle:
         return parse_module(handle.read())
 
@@ -68,7 +59,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "target",
-        help="builtin app (%s) or a textual-IR file" % "|".join(_BUILTIN_APPS),
+        help="registered app (%s) or a textual-IR file" % "|".join(SYNTHETIC_APPS),
     )
     parser.add_argument(
         "--extend-fs",

@@ -222,8 +222,3 @@ class BastionCompiler:
             "ctx_bind_const": result.ctx_bind_const_count,
             "total_instrumentation": result.total_sites,
         }
-
-
-def protect(module, sensitive=None, extend_filesystem=False):
-    """One-call convenience: compile ``module`` with BASTION protection."""
-    return BastionCompiler(sensitive, extend_filesystem).compile(module)

@@ -2,11 +2,9 @@
 
 Every genome is compiled to an :class:`AttackSpec` and run under
 ``undefended`` (validity: the exploit must actually work) plus **every
-registered mechanism** — the matrix is derived from
-:data:`repro.mechanisms.registry.FUZZ_MATRIX`, so a newly registered
-mechanism (sfip, sfip_origin, ...) is fuzzed automatically and a
-forgotten registration fails ``tests/baselines/test_registry.py``
-instead of silently escaping coverage.
+named mechanism** — the matrix is :data:`repro.mechanisms.FUZZ_MATRIX`,
+the key order of the ``MECHANISMS`` table, so a mechanism added to the
+table (sfip, sfip_origin, ...) is fuzzed automatically.
 
 Each run yields a 3-way verdict — ``allowed`` (the oracle fired),
 ``killed`` (a mechanism stopped the process before the goal), ``fizzled``
@@ -21,12 +19,13 @@ another killed the process: exactly the disagreements that grow Table 6.
 from dataclasses import dataclass, field
 
 from repro.attacks.runner import run_attack
+from repro.bench.harness import CONFIGS
 from repro.fuzz.genome import repair, spec_for_genome
-from repro.mechanisms.registry import FUZZ_MATRIX
+from repro.mechanisms import FUZZ_MATRIX
 from repro.monitor.policy import ContextPolicy
 
-#: matrix order is part of the corpus format — append only (the registry
-#: preserves registration order for exactly this reason)
+#: matrix order is part of the corpus format — append only (so is the
+#: ``MECHANISMS`` table it follows)
 MATRIX = FUZZ_MATRIX
 
 #: the filtering baselines named by the acceptance criteria
@@ -34,13 +33,10 @@ FILTERING_BASELINES = ("seccomp_allowlist", "temporal", "debloat")
 
 
 def _run_mechanism(spec, mechanism):
-    if mechanism == "undefended":
-        return run_attack(spec, None, "undefended")
-    if mechanism == "bastion":
-        return run_attack(spec, ContextPolicy.full(), "bastion")
-    from repro.bench.harness import CONFIGS
-
-    return run_attack(spec, None, mechanism, defense=CONFIGS[mechanism])
+    # 'undefended' and 'bastion' have no CONFIGS entry: run_attack builds
+    # their DefenseConfig from the policy (None = undefended)
+    policy = ContextPolicy.full() if mechanism == "bastion" else None
+    return run_attack(spec, policy, mechanism, defense=CONFIGS.get(mechanism))
 
 
 def verdict_of(outcome):

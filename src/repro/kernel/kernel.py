@@ -1,10 +1,10 @@
 """The syscall dispatcher and handler table.
 
-``Kernel.syscall`` (aliased ``dispatch``) is the single entry point the
-CPU calls at a ``syscall`` instruction.  It drives one
-:class:`~repro.kernel.dispatch.SyscallContext` through the explicit
-dispatch pipeline (``repro.kernel.dispatch``), whose stage order matches
-Linux:
+``Kernel.dispatch`` is the single entry point the CPU calls at a
+``syscall`` instruction (``attach_strace`` taps it per instance).  It
+drives one :class:`~repro.kernel.dispatch.SyscallContext` through the
+explicit dispatch pipeline (``repro.kernel.dispatch``), whose stage
+order matches Linux:
 
 1. **block/count** — scheduler blocking, then syscall accounting;
 2. **seccomp** — every attached filter runs (cycle cost scales with BPF
@@ -382,12 +382,9 @@ class Kernel:
     # dispatcher (the staged syscall pipeline)
     # ------------------------------------------------------------------
 
-    def syscall(self, proc, name, args):
+    def dispatch(self, proc, name, args):
         """Dispatch one syscall through the staged pipeline."""
         return self.pipeline.run(SyscallContext(proc, name, args))
-
-    #: historical name for the entry point; also what ``strace`` wraps
-    dispatch = syscall
 
     def _build_pipeline(self):
         pipeline = DispatchPipeline(self.telemetry)

@@ -1,31 +1,22 @@
 """Protection mechanisms behind one interface (see ``docs/mechanisms.md``).
 
-``mechanism_for(defense)`` maps a :class:`~repro.bench.harness.
-DefenseConfig` to the :class:`ProtectionMechanism` that implements it;
+:data:`MECHANISMS` maps every named mechanism to the
+:class:`ProtectionMechanism` subclass implementing it;
+``DefenseConfig.mechanism()`` picks the one a
+:class:`~repro.bench.harness.DefenseConfig` names, and
 ``mechanism.launch(kernel, app, module)`` is the entire launch path the
 bench harness and the attack runner use, for BASTION, every baseline
 and the undefended binary alike.  The baselines' analyses (allowlist,
 temporal phase split, debloating) live with their mechanisms in
 :mod:`repro.mechanisms.baselines`.
 
-All named-mechanism registration lives in
-:mod:`repro.mechanisms.registry` — one :class:`~repro.mechanisms.
-registry.MechanismSpec` row per mechanism, from which
-:data:`MECHANISM_NAMES`, :func:`defense_for_mechanism`,
-``bench.harness.CONFIGS``'s baseline slice, ``mechanism_for``, and the
-fuzz oracle's matrix are all derived.  This module re-exports the
-registry surface.
+Every name-keyed surface derives from the table: :data:`MECHANISM_NAMES`
+(what ``repro.api.ProtectConfig(mechanism=...)`` accepts), the named
+slice of ``bench.harness.CONFIGS``, and :data:`FUZZ_MATRIX` (the fuzz
+oracle's mechanism matrix).
 """
 
 from repro.mechanisms.base import ProtectionMechanism, artifact_for
-from repro.mechanisms.registry import (
-    FUZZ_MATRIX,
-    MECHANISM_NAMES,
-    MechanismSpec,
-    defense_for_mechanism,
-    mechanism_for,
-    named_defense_configs,
-)
 from repro.mechanisms.bastion import BastionMechanism
 from repro.mechanisms.baselines import (
     SERVING_ROOTS,
@@ -37,15 +28,35 @@ from repro.mechanisms.baselines import (
 from repro.mechanisms.binary import BinaryOnlyMechanism
 from repro.mechanisms.sfip import SfipMechanism, SfipOriginMechanism
 
+#: every named mechanism -> its implementation.  Key order is the fuzz
+#: corpus's matrix order (:data:`FUZZ_MATRIX`), so the table is append
+#: only.  ``llvm_cfi`` and ``dfi`` are CPU flags, which
+#: ``DefenseConfig.cpu_options()`` derives from the ``baseline`` name.
+MECHANISMS = {
+    "bastion": BastionMechanism,
+    "seccomp_allowlist": SeccompAllowlistMechanism,
+    "temporal": TemporalMechanism,
+    "debloat": DebloatMechanism,
+    "binary_only": BinaryOnlyMechanism,
+    "llvm_cfi": StaticMechanism,
+    "dfi": StaticMechanism,
+    "sfip": SfipMechanism,
+    "sfip_origin": SfipOriginMechanism,
+}
+
+#: every name ``ProtectConfig(mechanism=...)`` accepts: bastion first,
+#: then the baselines sorted
+MECHANISM_NAMES = ("bastion",) + tuple(sorted(n for n in MECHANISMS if n != "bastion"))
+
+#: the differential fuzz oracle's mechanism matrix (corpus format)
+FUZZ_MATRIX = tuple(MECHANISMS)
+
 __all__ = [
     "ProtectionMechanism",
     "artifact_for",
-    "mechanism_for",
+    "MECHANISMS",
     "MECHANISM_NAMES",
     "FUZZ_MATRIX",
-    "MechanismSpec",
-    "defense_for_mechanism",
-    "named_defense_configs",
     "BastionMechanism",
     "StaticMechanism",
     "SeccompAllowlistMechanism",

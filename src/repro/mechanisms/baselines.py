@@ -11,7 +11,7 @@ public surfaces — no harness branches, no kernel special cases:
 - :class:`DebloatMechanism` — reachability-based debloating: removes
   never-used code but must keep sensitive-but-used syscalls;
 - :class:`StaticMechanism` — CET, LLVM CFI and DFI, which are purely
-  ``CPUOptions`` flags carried by the DefenseConfig and enforced by the
+  ``CPUOptions`` flags derived from the DefenseConfig and enforced by the
   CPU (:meth:`repro.vm.cpu.CPU._cfi_check` checks LLVM CFI's
   type-signature classes, :func:`repro.ir.callgraph.
   cfi_equivalence_classes` sizes them).

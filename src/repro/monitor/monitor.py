@@ -76,15 +76,10 @@ class MonitorSession:
     """
 
     pid: int
-    stops: int = 0
+    #: syscall name -> stops fielded for this tracee
     stop_counts: dict = field(default_factory=dict)
-    fast_hits: int = 0
     violations: list = field(default_factory=list)
     killed: bool = False
-
-    def count_stop(self, syscall_name):
-        self.stops += 1
-        self.stop_counts[syscall_name] = self.stop_counts.get(syscall_name, 0) + 1
 
 
 @dataclass
@@ -261,8 +256,8 @@ class BastionMonitor:
         context-switch cost instead of charging a full round trip.
         """
         self.stats.count_hook(syscall_name)
-        session = self.session_of(proc.pid)
-        session.count_stop(syscall_name)
+        stop_counts = self.session_of(proc.pid).stop_counts
+        stop_counts[syscall_name] = stop_counts.get(syscall_name, 0) + 1
         policy = self.policy
         if policy.mode == "hook_only":
             return False
@@ -293,7 +288,6 @@ class BastionMonitor:
                     if resident is None:
                         self.stats.cache_hits += 1
                         self.stats.trap_stops_batched += 1
-                        session.fast_hits += 1
                         return True
                     self.cache.invalidate_key(key)
                     self._verdict(pt, resident)

@@ -7,7 +7,6 @@ import pytest
 from repro.analyze.__main__ import main
 
 
-@pytest.mark.tier1
 def test_all_apps_strict_exit_zero(capsys):
     """The tier-1 gate: every shipped app lints clean (waivers applied)."""
     assert main(["--all", "--strict"]) == 0

@@ -1,49 +1,39 @@
-"""The mechanism registry: one source of truth, derivations consistent.
+"""The mechanism registry: the ``MECHANISMS`` table, every name-keyed
+surface derived from it.
 
-A mechanism registered here but forgotten anywhere downstream —
-``MECHANISM_NAMES``, ``bench.harness.CONFIGS``, the fuzz oracle's
-matrix — fails one of these tests instead of silently escaping
+A mechanism in ``repro.mechanisms.MECHANISMS`` but missing anywhere
+downstream — ``MECHANISM_NAMES``, ``bench.harness.CONFIGS``, the fuzz
+oracle's matrix — fails one of these tests instead of silently escaping
 coverage.  The attack runner launches every run through the mechanism
-the registry resolves, so the last two tests pin that launch path.
+its ``DefenseConfig`` names, so the last two tests pin that launch path.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.api import ProtectConfig
 from repro.attacks.catalog import attack_by_name
 from repro.attacks.runner import _target_module, run_attack
-from repro.bench.harness import CONFIGS
+from repro.bench.harness import CONFIGS, DefenseConfig
+from repro.fuzz.oracle import MATRIX
+from repro.mechanisms import FUZZ_MATRIX, MECHANISM_NAMES, MECHANISMS
 from repro.mechanisms.base import ProtectionMechanism, artifact_for
 from repro.mechanisms.bastion import BastionMechanism
-from repro.mechanisms.registry import (
-    _ORDER,
-    _REGISTRY,
-    FUZZ_MATRIX,
-    MECHANISM_NAMES,
-    defense_for_mechanism,
-    mechanism_for,
-    named_defense_configs,
-    spec_for,
-)
 from repro.monitor.policy import ContextPolicy
 
 
 def test_mechanism_names_cover_the_registry():
     assert MECHANISM_NAMES[0] == "bastion"
-    assert set(MECHANISM_NAMES) == set(_ORDER)
+    assert set(MECHANISM_NAMES) == set(MECHANISMS)
     assert list(MECHANISM_NAMES[1:]) == sorted(MECHANISM_NAMES[1:])
 
 
 def test_fuzz_matrix_is_registration_order():
-    """The corpus format pins matrix order — it must follow registration
-    order exactly (append-only), and cover every fuzzed mechanism."""
-    assert FUZZ_MATRIX == tuple(
-        n for n in _ORDER if _REGISTRY[n].fuzzed
-    )
-    assert set(FUZZ_MATRIX) == set(MECHANISM_NAMES)
-    # the pre-registry prefix is frozen: reordering breaks pinned corpora
-    assert FUZZ_MATRIX[:7] == (
+    """The corpus format pins matrix order: the table's key order, append
+    only — reordering breaks pinned corpora."""
+    assert FUZZ_MATRIX == tuple(MECHANISMS)
+    assert FUZZ_MATRIX == (
         "bastion",
         "seccomp_allowlist",
         "temporal",
@@ -51,65 +41,69 @@ def test_fuzz_matrix_is_registration_order():
         "binary_only",
         "llvm_cfi",
         "dfi",
+        "sfip",
+        "sfip_origin",
     )
-    assert "sfip" in FUZZ_MATRIX and "sfip_origin" in FUZZ_MATRIX
 
 
 def test_oracle_matrix_is_the_registry_matrix():
-    from repro.fuzz.oracle import MATRIX
-
     assert MATRIX == FUZZ_MATRIX
 
 
+def test_defense_config_fields():
+    assert [f.name for f in dataclasses.fields(DefenseConfig)] == [
+        "name",
+        "cet",
+        "policy",
+        "extend_filesystem",
+        "baseline",
+    ]
+
+
 def test_harness_configs_serve_every_named_mechanism():
-    for name, defense in named_defense_configs().items():
+    for name in MECHANISMS:
+        if name == "bastion":
+            continue
         assert name in CONFIGS, name
-        assert CONFIGS[name].name == defense.name
-        assert getattr(CONFIGS[name], "baseline", None) == getattr(
-            defense, "baseline", None
-        )
+        assert CONFIGS[name].name == CONFIGS[name].baseline == name
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in _ORDER if _REGISTRY[n].defense_kwargs is not None]
-)
+@pytest.mark.parametrize("name", [n for n in MECHANISMS if n != "bastion"])
 def test_defense_resolves_to_registered_class(name):
-    mechanism = mechanism_for(defense_for_mechanism(name))
-    assert isinstance(mechanism, spec_for(name).mechanism_class())
+    assert type(CONFIGS[name].mechanism()) is MECHANISMS[name]
 
 
 def test_bastion_has_no_named_defense():
-    with pytest.raises(ValueError):
-        defense_for_mechanism("bastion")
+    """BASTION is configured by policy, never as a ``baseline`` name."""
+    assert "bastion" not in CONFIGS
+    defense = ProtectConfig(mechanism="bastion").defense()
+    assert defense.baseline is None and defense.policy is not None
+    assert type(defense.mechanism()) is BastionMechanism
 
 
 def test_unknown_mechanism_raises_with_the_roster():
     with pytest.raises(ValueError, match="sfip"):
-        spec_for("nope")
-    with pytest.raises(ValueError):
-        defense_for_mechanism("nope")
+        ProtectConfig(mechanism="nope")
 
 
 def test_api_accepts_every_registry_name():
-    from repro.api import ProtectConfig
-
     for name in MECHANISM_NAMES:
         ProtectConfig(mechanism=name)  # must not raise
     with pytest.raises(ValueError):
         ProtectConfig(mechanism="not_a_mechanism")
+    assert ProtectConfig(mechanism="sfip", label="x").defense() == DefenseConfig(
+        "x", baseline="sfip"
+    )
 
 
 def test_legacy_reexports_still_resolve():
-    """The pre-registry import surface keeps working."""
-    from repro.mechanisms import (
-        FUZZ_MATRIX as reexported_matrix,
-        MECHANISM_NAMES as reexported_names,
-        SfipMechanism,
-        SfipOriginMechanism,
-    )
+    """The package-level import surface keeps working."""
+    from repro.mechanisms import SfipMechanism, SfipOriginMechanism
 
-    assert reexported_matrix == FUZZ_MATRIX
-    assert reexported_names == MECHANISM_NAMES
+    assert FUZZ_MATRIX == tuple(MECHANISMS)
+    assert set(MECHANISM_NAMES) == set(MECHANISMS)
+    assert MECHANISMS["sfip"] is SfipMechanism
+    assert MECHANISMS["sfip_origin"] is SfipOriginMechanism
     assert issubclass(SfipOriginMechanism, SfipMechanism)
 
 

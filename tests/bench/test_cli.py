@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from repro import protect
+from repro.apps import SYNTHETIC_APPS
+from repro.apps.vsftpd import build_vsftpd
 from repro.bench.__main__ import main as bench_main
 from repro.compiler.__main__ import load_target, main as compiler_main, render_stats
-from repro.compiler.pipeline import protect
-from repro.apps.vsftpd import build_vsftpd
 
 
 class TestBenchCli:
@@ -56,6 +57,10 @@ class TestCompilerCli:
         out = capsys.readouterr().out
         assert "module browser" in out
         assert "@ctx_bind" in out  # instrumentation is visible
+
+    def test_every_registered_app_loads(self):
+        for name in SYNTHETIC_APPS:
+            assert load_target(name).name == name
 
     def test_ir_file_target(self, tmp_path):
         from repro.ir.printer import format_module

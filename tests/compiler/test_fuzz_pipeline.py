@@ -9,7 +9,7 @@ instrumentation.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.compiler.pipeline import protect
+from repro import protect
 from repro.ir.builder import ModuleBuilder
 from repro.kernel.kernel import Kernel
 from repro.monitor.monitor import BastionMonitor

@@ -7,7 +7,8 @@ from repro.compiler.metadata import (
     CallsiteMeta,
     SiteKey,
 )
-from repro.compiler.pipeline import BastionCompiler, protect
+from repro import protect
+from repro.compiler.pipeline import BastionCompiler
 from repro.ir.builder import ModuleBuilder
 from repro.syscalls.sensitive import FILESYSTEM_EXTENSION, SENSITIVE_SYSCALLS
 from tests.conftest import make_wrapper

@@ -154,7 +154,7 @@ class TestRoundTrip:
 
     def test_instrumented_module_round_trips(self):
         """Bind metadata (pos/callsite_index) survives the text form."""
-        from repro.compiler.pipeline import protect
+        from repro import protect
 
         artifact = protect(_sample_module())
         text = format_module(artifact.module)

@@ -1,7 +1,7 @@
 """Tests for running clone()d children under inherited protection (§7.1)."""
 
 
-from repro.compiler.pipeline import protect
+from repro import protect
 from repro.ir.builder import ModuleBuilder
 from repro.kernel.kernel import Kernel
 from repro.monitor.monitor import BastionMonitor

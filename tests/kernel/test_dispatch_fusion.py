@@ -81,11 +81,11 @@ class TestFusionState:
 def _run_syscalls(kernel):
     """Dispatch a fixed syscall mix through a kernel; returns its proc."""
     proc = kernel.create_process("app", image=None)
-    kernel.syscall(proc, "getpid", ())
-    fd = kernel.syscall(proc, "socket", (2, 1, 0))
-    kernel.syscall(proc, "close", (fd,))
+    kernel.dispatch(proc, "getpid", ())
+    fd = kernel.dispatch(proc, "socket", (2, 1, 0))
+    kernel.dispatch(proc, "close", (fd,))
     for _ in range(3):
-        kernel.syscall(proc, "getpid", ())
+        kernel.dispatch(proc, "getpid", ())
     return proc
 
 
@@ -144,9 +144,9 @@ class TestFusedAttributionParity:
             kernel.pipeline.set_fusion(fusion)
             proc = kernel.create_process("app", image=None)
             kernel.install_seccomp(proc, self._kill_filter())
-            kernel.syscall(proc, "getpid", ())
+            kernel.dispatch(proc, "getpid", ())
             with pytest.raises(ProcessKilled):
-                kernel.syscall(proc, "socket", (2, 1, 0))
+                kernel.dispatch(proc, "socket", (2, 1, 0))
             outcomes.append(
                 (
                     kernel.telemetry.stage_cycles(),

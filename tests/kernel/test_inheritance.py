@@ -6,7 +6,7 @@ runtime; a worker that reaches a not-callable syscall dies at the inherited
 filter without disturbing its siblings.
 """
 
-from repro.compiler.pipeline import protect
+from repro import protect
 from repro.ir.builder import ModuleBuilder
 from repro.kernel.kernel import Kernel
 from repro.monitor.monitor import BastionMonitor

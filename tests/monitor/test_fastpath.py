@@ -1,7 +1,7 @@
 """The monitor fast path: verdict cache, invalidation, and soundness."""
 
 
-from repro.compiler.pipeline import protect
+from repro import protect
 from repro.ir.builder import ModuleBuilder
 from repro.kernel.kernel import Kernel
 from repro.monitor.cache import MonitorStats, VerdictCache, VerificationDeps

@@ -1,7 +1,7 @@
 """End-to-end monitor tests: filter construction and context enforcement."""
 
 
-from repro.compiler.pipeline import protect
+from repro import protect
 from repro.ir.builder import ModuleBuilder
 from repro.kernel.kernel import Kernel
 from repro.kernel.seccomp import evaluate_filters, SECCOMP_RET_ALLOW, SECCOMP_RET_KILL_PROCESS, SECCOMP_RET_TRACE

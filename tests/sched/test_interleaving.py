@@ -7,7 +7,7 @@ and seccomp, so every completed syscall produces exactly one trace stop —
 the monitor must reach identical verdicts either way.
 """
 
-from repro.compiler.pipeline import protect
+from repro import protect
 from repro.ir.builder import ModuleBuilder
 from repro.kernel.kernel import Kernel
 from repro.monitor.monitor import BastionMonitor

@@ -115,14 +115,14 @@ class TestTemporalPhaseSwitch:
     def _first_accept(self, kernel, proc):
         # the switch triggers at the dispatch pipeline's count stage, so
         # even an accept4 on a not-yet-listening socket flips the phase
-        fd = kernel.syscall(proc, "socket", (2, 1, 0))
-        kernel.syscall(proc, "accept4", (fd, 0, 0, 0))
+        fd = kernel.dispatch(proc, "socket", (2, 1, 0))
+        kernel.dispatch(proc, "accept4", (fd, 0, 0, 0))
 
     def test_serving_filter_installs_on_first_accept(self):
         kernel, mechanism, proc = self._launch()
         assert not mechanism.switched
         assert len(proc.seccomp_filters) == 1  # launch-time allowlist
-        kernel.syscall(proc, "socket", (2, 1, 0))
+        kernel.dispatch(proc, "socket", (2, 1, 0))
         assert not mechanism.switched  # non-accept syscalls don't switch
         self._first_accept(kernel, proc)
         assert mechanism.switched
@@ -131,9 +131,9 @@ class TestTemporalPhaseSwitch:
     def test_init_only_syscall_killed_after_switch(self):
         kernel, mechanism, proc = self._launch()
         # setuid is legal during init (the allowlist admits it) ...
-        assert kernel.syscall(proc, "setuid", (33,)) == 0
+        assert kernel.dispatch(proc, "setuid", (33,)) == 0
         self._first_accept(kernel, proc)
         # ... but the serving phase kills it (the privilege drop is done)
         with pytest.raises(ProcessKilled):
-            kernel.syscall(proc, "setuid", (0,))
+            kernel.dispatch(proc, "setuid", (0,))
         assert not proc.alive
