@@ -4,6 +4,8 @@ Run before loading: catches malformed programs early with precise messages
 instead of confusing interpreter faults later.
 """
 
+import weakref
+
 from repro.errors import IRValidationError
 from repro.ir.dataflow import build_block_graph, definitely_assigned
 from repro.ir.instructions import (
@@ -35,6 +37,9 @@ _KNOWN_INTRINSICS = set(HARNESS_INTRINSICS) | {
     CTX_BIND_CONST,
 }
 
+#: module -> stamp (see :func:`_stamp`) of the state it last passed in full
+_validated = weakref.WeakKeyDictionary()
+
 
 def validate_module(module):
     """Validate ``module``; raises :class:`IRValidationError` on problems.
@@ -44,15 +49,39 @@ def validate_module(module):
     operators are known; functions end in a terminator; globals referenced
     by AddrGlobal exist.
 
+    Each module state is checked once: a module unchanged since it last
+    passed returns at once.  Change a body through ``Function.append``,
+    ``invalidate()`` or replacement, as the VM's predecode cache also
+    requires; an in-place edit that keeps its length and version is not
+    seen.
+
     Returns the module (for chaining).
     """
+    stamp = _stamp(module)
+    if _validated.get(module) == stamp:
+        return module
     if module.entry not in module.functions:
         raise IRValidationError(
             "module %s has no entry function %r" % (module.name, module.entry)
         )
     for func in module.functions.values():
         _validate_function(module, func)
+    _validated[module] = stamp
     return module
+
+
+def _stamp(module):
+    """What validation reads.  Functions and bodies are held as objects,
+    so a replaced one can never match through a reused ``id``."""
+    return (
+        module.entry,
+        tuple(
+            (name, func, func.body, len(func.body), func.version)
+            for name, func in module.functions.items()
+        ),
+        tuple(module.globals),
+        tuple(module.types.structs.items()),
+    )
 
 
 def _err(func, idx, message):

@@ -57,6 +57,10 @@ SECCOMP_DATA_ARCH = 4
 SECCOMP_DATA_IP_LO = 8
 SECCOMP_DATA_IP_HI = 12
 SECCOMP_DATA_ARGS = 16  # six u64 args follow, lo/hi pairs
+SECCOMP_DATA_SIZE = 64  # sizeof(struct seccomp_data)
+
+#: scratch memory slots (``BPF_MEMWORDS``)
+BPF_MEMWORDS = 16
 
 AUDIT_ARCH_X86_64 = 0xC000003E
 
@@ -111,7 +115,14 @@ class SeccompData:
 
 
 class BPFProgram:
-    """A validated cBPF program, executable against :class:`SeccompData`."""
+    """A validated cBPF program, executable against :class:`SeccompData`.
+
+    The constructor makes Linux's load-time checks (``bpf_check_classic``
+    and ``seccomp_check_filter``) for everything :meth:`run` executes:
+    every jump lands inside the program, every scratch index is below
+    ``BPF_MEMWORDS``, and every absolute load is an aligned word inside
+    ``struct seccomp_data``.
+    """
 
     MAX_INSNS = 4096
 
@@ -122,14 +133,25 @@ class BPFProgram:
         if len(instructions) > self.MAX_INSNS:
             raise KernelError("BPF program too long")
         for pc, ins in enumerate(instructions):
-            if ins.code & 0x07 == BPF_JMP and ins.code != BPF_JMP | BPF_JA | BPF_K:
-                if pc + 1 + max(ins.jt, ins.jf) >= len(instructions):
+            cls = ins.code & 0x07
+            mode = ins.code & 0xE0
+            if cls == BPF_JMP:
+                reach = ins.k if ins.code & 0xF0 == BPF_JA else max(ins.jt, ins.jf)
+                if pc + 1 + reach >= len(instructions):
                     raise KernelError("BPF jump out of range at %d" % pc)
-        if instructions[-1].code & 0x07 not in (BPF_RET,):
-            # Linux requires provable termination; we require a final RET.
-            last = instructions[-1]
-            if last.code & 0x07 != BPF_RET:
-                raise KernelError("BPF program must end in RET")
+            elif cls == BPF_LD and mode == BPF_ABS:
+                if not 0 <= ins.k < SECCOMP_DATA_SIZE or ins.k & 3:
+                    raise KernelError("bad seccomp_data load offset %d at %d" % (ins.k, pc))
+            elif (
+                cls == BPF_ST
+                or (cls == BPF_LD and mode == BPF_MEM)
+                or (cls == BPF_LDX and mode != BPF_IMM)
+            ):
+                if not 0 <= ins.k < BPF_MEMWORDS:
+                    raise KernelError("BPF scratch slot %d out of range at %d" % (ins.k, pc))
+        # Linux requires provable termination; we require a final RET.
+        if instructions[-1].code & 0x07 != BPF_RET:
+            raise KernelError("BPF program must end in RET")
         self.instructions = instructions
 
     def __len__(self):
@@ -139,7 +161,7 @@ class BPFProgram:
         """Execute against ``data``; returns ``(action, instructions_run)``."""
         acc = 0
         idx_reg = 0
-        scratch = [0] * 16
+        scratch = [0] * BPF_MEMWORDS
         pc = 0
         executed = 0
         insns = self.instructions

@@ -92,6 +92,9 @@ SOCKADDR_SLOTS = 3
 F_GETFL = 3
 F_SETFL = 4
 
+#: every syscall number, the domain of the seccomp ALLOW bitmap
+_SYSCALL_NRS = tuple(entry.nr for entry in SYSCALLS)
+
 
 class _Pipe:
     """The byte queue shared by a pipe's two ends."""
@@ -352,11 +355,12 @@ class Kernel:
 
         Like Linux at ``SECCOMP_SET_MODE_FILTER`` time, the per-syscall
         ALLOW bitmap is recomputed over *all* attached filters so that
-        always-allowed syscalls skip the BPF engine on the hot path.
+        always-allowed syscalls skip the BPF engine on the hot path; a
+        chain whose programs equal one computed before reuses its bitmap.
         """
         proc.seccomp_filters.append(seccomp_filter)
         proc.seccomp_action_cache = compute_action_cache(
-            proc.seccomp_filters, [entry.nr for entry in SYSCALLS]
+            proc.seccomp_filters, _SYSCALL_NRS
         )
 
     def record(self, kind, proc, **details):

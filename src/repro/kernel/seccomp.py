@@ -236,17 +236,30 @@ def _filter_is_nr_only(filt):
     return True
 
 
+#: (every filter's instructions, nrs) -> SeccompActionCache.  Filters are
+#: rebuilt on every launch and faults swap in copy-on-fault programs, so
+#: only a content key hits across runs and never serves another program.
+_action_caches = {}
+
+
 def compute_action_cache(filters, nrs):
     """Precompute the ALLOW bitmap for ``nrs`` against ``filters``.
 
     Returns ``None`` (no cache, every syscall runs the BPF engine) when no
     filter is attached or any attached filter is argument/ip-dependent.
+    A chain whose programs equal one already computed in this process
+    shares that chain's (frozen) cache.
     """
     if not filters or not all(_filter_is_nr_only(f) for f in filters):
         return None
-    allow = set()
-    for nr in nrs:
-        action, _insns = evaluate_filters(filters, nr)
-        if action & SECCOMP_RET_ACTION_FULL == SECCOMP_RET_ALLOW:
-            allow.add(nr)
-    return SeccompActionCache(allow_nrs=frozenset(allow))
+    nrs = tuple(nrs)
+    key = (tuple(tuple(f.program.instructions) for f in filters), nrs)
+    cache = _action_caches.get(key)
+    if cache is None:
+        allow = set()
+        for nr in nrs:
+            action, _insns = evaluate_filters(filters, nr)
+            if action & SECCOMP_RET_ACTION_FULL == SECCOMP_RET_ALLOW:
+                allow.add(nr)
+        cache = _action_caches[key] = SeccompActionCache(allow_nrs=frozenset(allow))
+    return cache

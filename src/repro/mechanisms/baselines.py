@@ -17,6 +17,7 @@ public surfaces — no harness branches, no kernel special cases:
   cfi_equivalence_classes` sizes them).
 """
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.ir.callgraph import build_callgraph, wrapper_map
@@ -97,6 +98,11 @@ def debloat_module(module):
     return new_module, report
 
 
+#: input module -> ``debloat_module(module)``, so every launch loads one
+#: shared debloated module (and the loader validates it once)
+_debloated = weakref.WeakKeyDictionary()
+
+
 class StaticMechanism(ProtectionMechanism):
     """CPU-flag-only defenses: vanilla, CET, LLVM-CFI, DFI."""
 
@@ -151,5 +157,7 @@ class DebloatMechanism(ProtectionMechanism):
         self.report = None
 
     def target_module(self, app, module):
-        debloated, self.report = debloat_module(module)
+        if module not in _debloated:
+            _debloated[module] = debloat_module(module)
+        debloated, self.report = _debloated[module]
         return debloated

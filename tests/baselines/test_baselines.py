@@ -5,6 +5,7 @@ from repro.attacks.runner import run_attack
 from repro.bench.harness import CONFIGS
 from repro.ir.builder import ModuleBuilder
 from repro.ir.callgraph import build_callgraph, cfi_equivalence_classes
+from repro.kernel.kernel import Kernel
 from repro.kernel.seccomp import (
     evaluate_filters,
     SECCOMP_RET_ALLOW,
@@ -75,6 +76,15 @@ class TestDebloat:
         _slim, report = debloat_module(_module())
         assert "mprotect" in report.surviving_sensitive
         assert "execve" in report.removed_syscalls
+
+    def test_launches_share_one_debloated_module(self):
+        module = _module()
+        first, second = (CONFIGS["debloat"].mechanism() for _ in range(2))
+        first.launch(Kernel(), "m", module)
+        second.launch(Kernel(), "m", module)
+        assert first.image.module is second.image.module
+        assert not first.image.module.has_function("dead_code")
+        assert debloat_module(module)[0] is not debloat_module(module)[0]
 
 
 class TestLLVMCFI:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import IRValidationError
+from repro.ir import validate
 from repro.ir.builder import ModuleBuilder
 from repro.ir.instructions import (
     BinOp,
@@ -11,6 +12,7 @@ from repro.ir.instructions import (
     Gep,
     Imm,
     Jump,
+    Ret,
     Syscall,
     Var,
 )
@@ -208,3 +210,67 @@ def test_address_taken_local_accepted():
     f.addr_local("r")
     f.ret(0)
     validate_module(mb.build())  # memory-backed local: may be stored through
+
+
+# ---------------------------------------------------------------------------
+# the validation memo: one full check per module state
+# ---------------------------------------------------------------------------
+
+
+def _caller_module():
+    """``main`` calls ``helper``; ``main``'s body is [Call, Ret]."""
+    mb = ModuleBuilder("m")
+    mb.function("helper").ret(0)
+    f = mb.function("main")
+    f.call("helper", void=True)
+    f.ret(0)
+    return mb.build()
+
+
+def test_unchanged_module_is_validated_once(monkeypatch):
+    checked = []
+    full_check = validate._validate_function
+
+    def counting(module, func):
+        checked.append(func.name)
+        full_check(module, func)
+
+    monkeypatch.setattr(validate, "_validate_function", counting)
+    module = _caller_module()
+    assert validate_module(module) is module
+    assert checked == ["helper", "main"]
+    assert validate_module(module) is module
+    assert checked == ["helper", "main"]
+
+
+def _append_bad_binop(module):
+    main = module.functions["main"]
+    main.append(BinOp("x", "**", Imm(2), Imm(3)))
+    main.append(Ret(Imm(0)))
+    return "unknown binary operator"
+
+
+def _delete_called_function(module):
+    del module.functions["helper"]
+    return "call to undefined function"
+
+
+def _replace_body_keeping_length(module):
+    main = module.functions["main"]
+    main.body = [Jump("nowhere"), Ret(Imm(0))]
+    main.invalidate()
+    return "jump to unknown label"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_append_bad_binop, _delete_called_function, _replace_body_keeping_length],
+)
+def test_mutated_module_is_validated_again(mutate):
+    """A module that changed through ``append``, a deleted function or a
+    replaced body is checked again in full, never served from the memo."""
+    module = _caller_module()
+    validate_module(module)
+    message = mutate(module)
+    with pytest.raises(IRValidationError, match=message):
+        validate_module(module)

@@ -19,6 +19,7 @@ from repro.kernel.bpf import (
     BPF_JSET,
     BPF_K,
     BPF_LD,
+    BPF_LDX,
     BPF_MEM,
     BPF_RET,
     BPF_ST,
@@ -142,6 +143,34 @@ class TestValidation:
                     stmt(BPF_RET | BPF_K, 0),
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            (jump(BPF_JMP | BPF_JA | BPF_K, 100, 0, 0), "jump out of range"),
+            (stmt(BPF_LD | BPF_W | BPF_MEM, 16), "scratch slot 16"),
+            (stmt(BPF_LDX | BPF_W | BPF_MEM, 16), "scratch slot 16"),
+            (stmt(BPF_ST, 16), "scratch slot 16"),
+            (stmt(BPF_LD | BPF_W | BPF_ABS, SECCOMP_DATA_NR + 2), "offset 2"),
+            (stmt(BPF_LD | BPF_W | BPF_ABS, 64), "offset 64"),
+        ],
+        ids=["ja-past-end", "ld-mem", "ldx-mem", "st", "abs-unaligned", "abs-past-data"],
+    )
+    def test_malformed_instruction_rejected_at_load(self, first, message):
+        """Linux's classic-BPF checker rejects these at load; none may
+        wait for evaluation (or a bare IndexError) to show."""
+        with pytest.raises(KernelError, match=message):
+            BPFProgram([first, stmt(BPF_RET | BPF_K, 0)])
+
+    def test_boundary_instructions_accepted(self):
+        program = [
+            stmt(BPF_LD | BPF_W | BPF_ABS, SECCOMP_DATA_ARGS + 44),  # args[5].hi
+            stmt(BPF_ST, 15),
+            stmt(BPF_LDX | BPF_W | BPF_MEM, 15),
+            jump(BPF_JMP | BPF_JA | BPF_K, 0, 0, 0),
+            stmt(BPF_RET | 0x10, 0),  # BPF_RET|BPF_A
+        ]
+        assert run(program, args=(0, 0, 0, 0, 0, 0x7 << 32)) == 7
 
     def test_must_end_in_ret(self):
         with pytest.raises(KernelError):

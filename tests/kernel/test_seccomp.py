@@ -1,18 +1,30 @@
 """Tests for seccomp filters: generation, precedence, evaluation."""
 
+import dataclasses
+
 from hypothesis import given, strategies as st
 
+from repro.kernel import seccomp
+from repro.kernel.bpf import BPF_JEQ, BPF_JMP, BPF_K, BPFProgram
+from repro.kernel.kernel import Kernel
 from repro.kernel.seccomp import (
+    SECCOMP_RET_ACTION_FULL,
     SECCOMP_RET_ALLOW,
     SECCOMP_RET_ERRNO,
     SECCOMP_RET_KILL_PROCESS,
     SECCOMP_RET_TRACE,
     SECCOMP_RET_TRAP,
+    SeccompFilter,
     action_name,
     build_action_filter,
     combine_actions,
+    compute_action_cache,
     evaluate_filters,
 )
+from repro.syscalls.table import SYSCALLS
+
+ALL_NRS = tuple(entry.nr for entry in SYSCALLS)
+ACTIONS = {59: SECCOMP_RET_TRACE, 10: SECCOMP_RET_KILL_PROCESS, 2: SECCOMP_RET_ERRNO | 13}
 
 
 class TestActionFilterGeneration:
@@ -94,3 +106,44 @@ class TestNames:
         assert action_name(SECCOMP_RET_TRACE) == "TRACE"
         assert action_name(SECCOMP_RET_KILL_PROCESS) == "KILL_PROCESS"
         assert action_name(SECCOMP_RET_ERRNO | 5) == "ERRNO"
+
+
+class TestActionCacheMemo:
+    def test_action_cache_runs_bpf_once_per_chain_content(self, monkeypatch):
+        """Two separately built but equal chains share one BPF pass."""
+        evaluated = []
+        evaluate = seccomp.evaluate_filters
+
+        def counting(filters, nr, *args, **kwargs):
+            evaluated.append(nr)
+            return evaluate(filters, nr, *args, **kwargs)
+
+        monkeypatch.setattr(seccomp, "_action_caches", {})
+        monkeypatch.setattr(seccomp, "evaluate_filters", counting)
+        kernel = Kernel()
+        first, second = kernel.create_process("a"), kernel.create_process("b")
+        kernel.install_seccomp(first, build_action_filter(ACTIONS))
+        kernel.install_seccomp(second, build_action_filter(ACTIONS))
+        assert first.seccomp_filters[0] is not second.seccomp_filters[0]
+        assert evaluated == list(ALL_NRS)
+        assert first.seccomp_action_cache == second.seccomp_action_cache
+
+    def test_changed_jeq_constant_gets_its_own_bitmap(self):
+        """Flipping one JEQ ``k`` as the fault injector does yields a new
+        program whose bitmap is computed afresh, never the original's."""
+        original = build_action_filter(ACTIONS)
+        compute_action_cache([original], ALL_NRS)
+        insns = original.program.instructions
+        jeqs = [i for i, ins in enumerate(insns) if ins.code == BPF_JMP | BPF_JEQ | BPF_K]
+        assert len(jeqs) == 1 + len(ACTIONS)  # the arch check, then one per nr
+        for i in jeqs:
+            flipped = list(insns)
+            flipped[i] = dataclasses.replace(insns[i], k=insns[i].k ^ 1)
+            filt = SeccompFilter(program=BPFProgram(flipped), label="flipped")
+            cache = compute_action_cache([filt], ALL_NRS)
+            assert cache.allow_nrs == {
+                nr
+                for nr in ALL_NRS
+                if evaluate_filters([filt], nr)[0] & SECCOMP_RET_ACTION_FULL
+                == SECCOMP_RET_ALLOW
+            }
