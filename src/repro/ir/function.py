@@ -33,8 +33,8 @@ class Function:
         #: BASTION compiler treats calls *to* wrappers as the syscall
         #: callsites and does not instrument wrapper bodies themselves.
         self.is_wrapper = False
-        #: bumped on every structural change; the VM's predecode cache keys
-        #: on it so externally mutated bodies are re-decoded
+        #: bumped on every structural change; the VM's shared block memo
+        #: (repro.vm.blocks) keys on it so mutated bodies are recompiled
         self.version = 0
         self._labels = None
         self._locals = None

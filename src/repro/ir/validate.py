@@ -51,7 +51,7 @@ def validate_module(module):
 
     Each module state is checked once: a module unchanged since it last
     passed returns at once.  Change a body through ``Function.append``,
-    ``invalidate()`` or replacement, as the VM's predecode cache also
+    ``invalidate()`` or replacement, as the VM's block memo also
     requires; an in-place edit that keeps its length and version is not
     seen.
 

@@ -8,7 +8,8 @@ repro.policy refactor the mechanism consumes the recovered tables as a
 instead of reaching into ``BinaryRecovery`` internals:
 
 - the policy's **presence table** (the reachability-tightened syscall
-  set) becomes a KILL-by-default seccomp allowlist — tighter than the
+  set) becomes a seccomp presence filter that KILLs every other table
+  syscall (a deny list, ALLOW default: ROADMAP item 1) — tighter than the
   plain ``seccomp_allowlist`` baseline, whose presence-based set admits
   every syscall any linked-but-dead wrapper could issue, ``system()``'s
   fork/execve/wait4 included;

@@ -12,7 +12,8 @@ Both variants consume the **flowgraph-produced**
 address-taken roots; the binary producer's coarser graph is the
 precision contrast, not the enforced artifact) and install two things:
 
-- the policy's KILL-by-default **presence filter** at the seccomp stage
+- the policy's **presence filter** at the seccomp stage (it KILLs the
+  table syscalls outside the policy and ALLOWs the rest: ROADMAP item 1)
   (the filtering half — dead-surface syscalls never reach the hook);
 - a **transition check** hook inserted at the ``seccomp`` stage (after
   the kernel's own filter evaluation, fused-head preserved): look up the

@@ -18,7 +18,8 @@ provenance so CI can pin it (``tests/fixtures/sfip_precision.json``).
 Consumers: :class:`repro.mechanisms.sfip.SfipMechanism` enforces the
 transition graph as a per-process state machine at the dispatch pipeline's
 seccomp stage; :class:`repro.mechanisms.binary.BinaryOnlyMechanism`
-synthesizes its KILL-by-default filter and call-kind checks from the
+synthesizes its presence filter (a deny list of the table syscalls outside
+the policy; see ``build_presence_filter``) and call-kind checks from the
 binary-produced policy.  See ``docs/mechanisms.md``.
 """
 

@@ -143,7 +143,12 @@ def policy_json(policy):
 
 
 def build_presence_filter(syscalls, label):
-    """KILL-by-default seccomp filter allowing only the named ``syscalls``.
+    """Deny-list seccomp filter that KILLs the table syscalls not named.
+
+    Despite the "allowlist" it stands for, the program is a deny list:
+    one ``JEQ nr -> KILL`` per ``repro.syscalls.table`` entry outside
+    ``syscalls`` and an ALLOW default, so a number outside the table
+    passes (ROADMAP item 1 plans the KILL-default shape).
 
     The one allowlist builder: the ``sfip`` and ``binary_only``
     mechanisms pass a policy's presence table (anything outside it dies

@@ -56,6 +56,7 @@ from repro.ir.instructions import (
     CTX_BIND_MEM,
     CTX_WRITE_MEM,
 )
+from repro.vm import blocks
 from repro.vm.loader import INSTR_STRIDE, STACK_TOP
 from repro.vm.memory import WORD
 from repro.vm.shadowstack import ShadowStack
@@ -79,10 +80,6 @@ class CPUOptions:
     llvm_cfi: bool = False  # coarse-grained type-signature CFI
     dfi: bool = False  # DFI baseline: per-access tracking cost
     max_steps: int = 200_000_000
-    #: Use predecoded instruction closures (repro.vm.predecode).  Wall-clock
-    #: only — cycle semantics are identical either way; False forces the
-    #: classic interpreter loop (the reference the parity tests diff against).
-    predecode: bool = True
 
 
 @dataclass
@@ -151,9 +148,14 @@ class CPU:
         self.hooks = {}
         self._halted = None
         self._entered = False
-        #: function name -> (body, version, ops, base, end) predecode cache
-        self._decoded = {}
-        #: return address -> caller destination frame offset (or None)
+        #: function name -> its shared compiled blocks (repro.vm.blocks)
+        self._codes = {}
+        #: code address -> (compiled blocks, function) holding it, for
+        #: the addresses control transfers land on
+        self._entries = {}
+        #: memo key of everything blocks bake in beyond a function body
+        self._context = None
+        #: return address -> caller destination frame offset (0: none)
         self._ret_sites = {}
         proc.cpu = self
 
@@ -199,14 +201,83 @@ class CPU:
         when a syscall parks it (``rip`` still points at the syscall, so
         the next slice restarts it), or ``None`` once ``quantum`` cycles
         of its ledger have been consumed.  ``quantum=None`` never preempts.
+
+        ``_step`` is the reference: one instruction, checked first for the
+        step budget, the quantum and a breakpoint.  A compiled block
+        (:mod:`repro.vm.blocks`) runs instead only when every instruction
+        in it would pass those checks and address the frame safely, so
+        preemption points, faults and cycles are the same either way.
         """
         if not self._entered:
             self._enter_main()
             self._entered = True
+        proc = self.proc
+        stats = self.stats
+        ledger = self.ledger
+        by_category = ledger.by_category
+        words = proc.memory._words
+        max_steps = self.options.max_steps
+        limit = None if quantum is None else ledger.cycles + quantum
+        breakpoints = self.breakpoints
+        entries = self._entries
+        code = None
+        base = end = 0
         try:
-            if self.options.predecode:
-                return self._run_loop_fast(quantum)
-            return self._run_loop_classic(quantum)
+            while True:
+                if not proc.alive:
+                    if proc.exited:
+                        return ExitStatus("exit", proc.exit_code)
+                    return ExitStatus("killed", 137, proc.kill_reason or "")
+                if self._halted is not None:
+                    return self._halted
+                rip = self.rip
+                if not base <= rip < end or rip & 3:
+                    entry = entries.get(rip)
+                    if (
+                        entry is None
+                        or entry[0].version != entry[1].version
+                        or entry[0].body is not entry[1].body
+                    ):
+                        entry = self._code_at(rip)
+                    code, func = entry
+                    base, end = (0, 0) if code is None else (code.base, code.end)
+                if code is not None:
+                    index = (rip - base) >> 2
+                    block = code.blocks[index]
+                    if block is None:
+                        block = code.compile(index, func, self.image)
+                    if block:
+                        fn, steps, pre, depth, lo, hi = block
+                        fp = self.fp
+                        if (
+                            stats.steps + steps <= max_steps
+                            and (limit is None or ledger.cycles + pre < limit)
+                            and not fp & 7
+                            and fp >= depth
+                            and not (breakpoints and any(lo <= a <= hi for a in breakpoints))
+                        ):
+                            self._cur_func = func
+                            status = fn(self, words, ledger, by_category, stats, fp)
+                            if status is not None:
+                                return status
+                            continue
+                if stats.steps >= max_steps:
+                    return ExitStatus("fault", 124, "step budget exhausted")
+                if limit is not None and ledger.cycles >= limit:
+                    return None
+                stats.steps += 1
+                if code is None:
+                    self.image.resolve_code(rip)  # raises the fetch fault
+                self._cur_func = func
+                if breakpoints:
+                    bp = breakpoints.get(rip)
+                    if bp is not None:
+                        bp(self)
+                        if not proc.alive or self._halted is not None:
+                            continue
+                status = self._step(func.body[index])
+                if status is not None:
+                    return status
         except WouldBlock as blocked:
             return blocked
         except ProcessKilled as killed:
@@ -214,103 +285,24 @@ class CPU:
         except VMFault as fault:
             return ExitStatus("fault", 139, "%s: %s" % (type(fault).__name__, fault))
 
-    def _run_loop_classic(self, quantum):
-        """The reference interpreter loop (`_step` per instruction)."""
-        opts = self.options
-        limit = None if quantum is None else self.ledger.cycles + quantum
-        while True:
-            if not self.proc.alive:
-                if self.proc.exited:
-                    return ExitStatus("exit", self.proc.exit_code)
-                return ExitStatus("killed", 137, self.proc.kill_reason or "")
-            if self._halted is not None:
-                return self._halted
-            if self.stats.steps >= opts.max_steps:
-                return ExitStatus("fault", 124, "step budget exhausted")
-            if limit is not None and self.ledger.cycles >= limit:
-                return None
-            self.stats.steps += 1
-            func, idx = self.image.resolve_code(self.rip)
-            self._cur_func = func
-            if self.breakpoints:
-                bp = self.breakpoints.get(self.rip)
-                if bp is not None:
-                    bp(self)
-                    if not self.proc.alive or self._halted is not None:
-                        continue
-            status = self._step(func.body[idx])
-            if status is not None:
-                return status
-
-    def _run_loop_fast(self, quantum):
-        """Predecoded loop: same semantics, far fewer Python operations.
-
-        ``rip`` stays within the current function between control transfers,
-        so the per-step bisect of ``resolve_code`` collapses to a range
-        check; the instruction itself is a predecoded closure (see
-        :mod:`repro.vm.predecode`).
-        """
-        proc = self.proc
-        stats = self.stats
-        ledger = self.ledger
-        max_steps = self.options.max_steps
-        limit = None if quantum is None else ledger.cycles + quantum
-        breakpoints = self.breakpoints
-        base = 0
-        end = 0
-        ops = None
-        while True:
-            if not proc.alive:
-                if proc.exited:
-                    return ExitStatus("exit", proc.exit_code)
-                return ExitStatus("killed", 137, proc.kill_reason or "")
-            if self._halted is not None:
-                return self._halted
-            if stats.steps >= max_steps:
-                return ExitStatus("fault", 124, "step budget exhausted")
-            if limit is not None and ledger.cycles >= limit:
-                return None
-            stats.steps += 1
-            rip = self.rip
-            if base <= rip < end:
-                if rip & 3:
-                    self.image.resolve_code(rip)  # raises misaligned fetch
-                idx = (rip - base) >> 2
-            else:
-                func, idx = self.image.resolve_code(rip)
-                self._cur_func = func
-                entry = self._decoded.get(func.name)
-                if (
-                    entry is None
-                    or entry[0] is not func.body
-                    or entry[1] != func.version
-                ):
-                    entry = self._decode(func)
-                ops = entry[2]
-                base = entry[3]
-                end = entry[4]
-            if breakpoints:
-                bp = breakpoints.get(rip)
-                if bp is not None:
-                    bp(self)
-                    if not proc.alive or self._halted is not None:
-                        continue
-            status = ops[idx]()
-            if status is not None:
-                return status
-
-    def _decode(self, func):
-        from repro.vm.predecode import decode_function
-
-        base = self.image.func_base[func.name]
-        entry = (
-            func.body,
-            func.version,
-            decode_function(self, func),
-            base,
-            base + len(func.body) * INSTR_STRIDE,
-        )
-        self._decoded[func.name] = entry
+    def _code_at(self, rip):
+        """``(compiled blocks, function)`` holding the instruction at
+        ``rip`` (memoized in ``_entries``); ``(None, None)`` if there is
+        none."""
+        image = self.image
+        name = image.func_containing(rip)
+        if name is None or (rip - image.func_base[name]) % INSTR_STRIDE:
+            return None, None
+        func = image.module.functions[name]
+        code = self._codes.get(name)
+        if code is None or code.body is not func.body or code.version != func.version:
+            if self._context is None:
+                self._context = blocks.context_key(
+                    image, self.costs, self.options.cet, self.options.dfi
+                )
+            code = blocks.function_code(func, image.func_base[name], self._context)
+            self._codes[name] = code
+        entry = self._entries[rip] = (code, func)
         return entry
 
     def _enter_main(self):

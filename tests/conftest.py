@@ -1,9 +1,13 @@
 """Shared fixtures and tiny-program builders for the test suite."""
 
+import contextlib
+import weakref
+
 import pytest
 
 from repro.ir.builder import ModuleBuilder
 from repro.kernel.kernel import Kernel
+from repro.vm import blocks
 from repro.vm.cpu import CPU, CPUOptions
 from repro.vm.loader import Image
 
@@ -35,6 +39,20 @@ def run_module(module, kernel=None, options=None, setup=None, hooks=None):
         cpu.hooks.update(hooks)
     status = cpu.run()
     return status, proc, cpu
+
+
+@contextlib.contextmanager
+def reference_steps():
+    """Within the block, every instruction runs through ``CPU._step``.
+
+    A test seam for diffing compiled blocks against the reference, not an
+    option: it swaps in an empty block memo whose every index takes
+    ``_step``, and restores both on exit.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blocks, "_codes", weakref.WeakKeyDictionary())
+        patch.setattr(blocks, "_compile_block", lambda *args: False)
+        yield
 
 
 def build_simple_program(body_fn, name="prog", globals_fn=None):

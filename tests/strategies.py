@@ -1,0 +1,176 @@
+"""Hypothesis strategies that generate whole IR programs.
+
+:func:`programs` builds a valid module over :mod:`repro.ir.builder`: a
+``main`` and up to three helpers, each a random sequence of operations
+drawn from every instruction kind the VM executes.  Values range beyond
+64 bits, memory accesses go to good, negative and unaligned addresses,
+and loops, calls, a syscall wrapper, ``cycle_burn``, ``trace`` and a
+``hook`` point appear.  Every loop has a constant trip count and no
+generated write can reach a loop counter or a saved frame word, so each
+program ends: by returning, by a fault, or by an exception the reference
+VM raises too (a negative ``cycle_burn``, a float-overflowing ``//``).
+"""
+
+from hypothesis import strategies as st
+
+from repro.ir.builder import ModuleBuilder
+from repro.ir.instructions import BINOPS, Imm
+from repro.vm.memory import WORD
+from tests.conftest import make_wrapper
+
+#: slots of the ``g_buf`` global that generated loads and stores address
+BUF_SLOTS = 6
+
+#: hook point every generated program may reach; see :func:`poke`
+HOOK_POINT = "poke"
+
+_VALUES = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    st.sampled_from([(1 << 63) - 1, -(1 << 63), 1 << 63, (1 << 64) - 1, 1 << 1100]),
+)
+
+
+def poke(cpu):
+    """The generated programs' hook: writes beyond-64-bit values to memory."""
+    addr = cpu.image.global_addr["g_buf"] + WORD * (cpu.stats.steps % BUF_SLOTS)
+    cpu.proc.memory.write(addr, (1 << 70) + cpu.stats.steps)
+    cpu.proc.memory.write(cpu.image.global_addr["g_hook"], cpu.ledger.cycles)
+
+
+class _Emitter:
+    """Appends drawn operations to one function, tracking usable values."""
+
+    def __init__(self, draw, fb, helpers):
+        self.draw = draw
+        self.fb = fb
+        self.helpers = helpers  # (name, arity) of callable helpers
+        self.values = [Imm(0)] + [fb.p(p) for p in fb.func.params]
+        self.fb.const(0, dst="spill")
+
+    def operand(self):
+        if self.draw(st.booleans()):
+            return self.draw(st.sampled_from(self.values))
+        return Imm(self.draw(_VALUES))
+
+    def keep(self, var):
+        self.values.append(var)
+
+    def buf_addr(self):
+        base = self.fb.addr_global("g_buf")
+        return self.fb.index(base, self.draw(st.integers(0, BUF_SLOTS - 1)))
+
+    def bad_addr(self):
+        kind = self.draw(st.sampled_from(["negative", "unaligned", "imm"]))
+        if kind == "negative":
+            return self.fb.sub(self.buf_addr(), 1 << 40)
+        if kind == "unaligned":
+            return self.fb.add(self.buf_addr(), self.draw(st.integers(1, 7)))
+        return Imm(self.draw(st.sampled_from([-8, 3, 0x600003])))
+
+    def ops(self, count, depth=0):
+        outer = list(self.values)
+        for _ in range(count):
+            self.op(depth)
+        if depth:
+            # a value defined in a loop or branch body is not definitely
+            # assigned after it (the validator rejects such uses)
+            self.values[:] = outer
+
+    def op(self, depth):
+        fb = self.fb
+        kind = self.draw(
+            st.sampled_from(
+                ["const", "binop", "binop", "binop", "move", "load", "store",
+                 "local", "gep", "call", "syscall", "burn", "trace", "hook",
+                 "loop", "if", "bad"]
+            )
+        )
+        if kind == "const":
+            self.keep(fb.const(self.draw(_VALUES)))
+        elif kind == "binop":
+            op = self.draw(st.sampled_from(BINOPS))
+            self.keep(fb.binop(op, self.operand(), self.operand()))
+        elif kind == "move":
+            self.keep(fb.move(self.operand()))
+        elif kind == "load":
+            self.keep(fb.load(self.buf_addr()))
+        elif kind == "store":
+            fb.store(self.buf_addr(), self.operand())
+        elif kind == "local":
+            # a store through a pointer to a frame slot, then a reload
+            ptr = fb.addr_local("spill")
+            fb.store(ptr, self.operand())
+            self.keep(fb.load(ptr))
+            self.keep(fb.move("spill"))
+        elif kind == "gep":
+            field = self.draw(st.sampled_from(["a", "b"]))
+            ptr = fb.gep(fb.addr_global("g_pair"), "pair_t", field)
+            fb.store(ptr, self.operand())
+            self.keep(fb.load(ptr))
+        elif kind == "call" and self.helpers:
+            name, arity = self.draw(st.sampled_from(self.helpers))
+            self.keep(fb.call(name, [self.operand() for _ in range(arity)]))
+        elif kind == "syscall":
+            self.keep(fb.call("getpid", []))
+        elif kind == "burn":
+            if self.draw(st.booleans()):
+                fb.burn(self.draw(st.integers(min_value=-2, max_value=50)))
+            else:
+                fb.burn(fb.binop("%", self.operand(), 64))  # may be negative
+        elif kind == "trace":
+            fb.intrinsic("trace", [self.operand() for _ in range(self.draw(st.integers(1, 2)))])
+        elif kind == "hook":
+            fb.hook(HOOK_POINT)
+        elif kind == "loop" and depth < 2:
+
+            def body(counter):
+                self.keep(counter)
+                self.ops(self.draw(st.integers(1, 4)), depth + 1)
+
+            fb.loop_range(self.draw(st.integers(min_value=0, max_value=4)), body)
+        elif kind == "if" and depth < 2:
+            cond = fb.binop(self.draw(st.sampled_from(["<", "==", "&"])),
+                            self.operand(), self.operand())
+            fb.if_then(
+                cond,
+                lambda: self.ops(self.draw(st.integers(1, 3)), depth + 1),
+                lambda: self.ops(self.draw(st.integers(0, 2)), depth + 1),
+            )
+        elif kind == "bad":
+            self.bad_access()
+
+    def bad_access(self):
+        """A load or store that faults."""
+        if self.draw(st.booleans()):
+            self.keep(self.fb.load(self.bad_addr()))
+        else:
+            self.fb.store(self.bad_addr(), self.operand())
+
+    def ret(self):
+        self.fb.ret(self.operand())
+
+
+@st.composite
+def programs(draw):
+    """A random valid module whose ``main`` ends (see module docstring)."""
+    mb = ModuleBuilder("gen")
+    mb.struct("pair_t", ["a", "b"])
+    mb.global_words("g_buf", draw(st.lists(_VALUES, min_size=BUF_SLOTS, max_size=BUF_SLOTS)))
+    mb.global_var("g_pair", size=2, struct="pair_t")
+    mb.global_var("g_hook")
+    make_wrapper(mb, "getpid", 0)
+    helpers = []
+    for k in range(draw(st.integers(min_value=0, max_value=3))):
+        arity = draw(st.integers(min_value=0, max_value=2))
+        fb = mb.function("f%d" % k, params=["p%d" % i for i in range(arity)])
+        emitter = _Emitter(draw, fb, list(helpers))  # calls only earlier helpers
+        emitter.ops(draw(st.integers(min_value=1, max_value=8)))
+        emitter.ret()
+        helpers.append(("f%d" % k, arity))
+    emitter = _Emitter(draw, mb.function("main"), helpers)
+    emitter.ops(draw(st.integers(min_value=1, max_value=16)))
+    if draw(st.booleans()):
+        emitter.bad_access()
+    emitter.ret()
+    return mb.build()

@@ -1,0 +1,190 @@
+"""Compiled blocks (repro.vm.blocks) against the ``CPU._step`` reference.
+
+The property test runs generated programs (``tests/strategies.py``) once
+with compiled blocks and once with every instruction through ``_step``
+and diffs everything observable, slice by slice.  The memo tests pin what
+makes one compiled block safe to share between CPUs and runs.
+"""
+
+import contextlib
+import gc
+import types
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.attacks.catalog import attack_by_name
+from repro.attacks.runner import run_attack
+from repro.bench.harness import CONFIGS
+from repro.ir.builder import ModuleBuilder
+from repro.ir.instructions import Const, Ret, Var
+from repro.kernel.kernel import Kernel
+from repro.kernel.process import Process
+from repro.vm import blocks
+from repro.vm.costs import CostModel, CycleLedger
+from repro.vm.cpu import CPU, CPUOptions
+from repro.vm.loader import Image
+from repro.vm.memory import Memory
+from tests.conftest import reference_steps, run_module
+from tests.strategies import HOOK_POINT, poke, programs
+
+#: whole runs first: Hypothesis favours (and shrinks toward) early entries,
+#: and there most blocks pass the guard and the program runs to its end
+QUANTA = (None, 40, 7, 3, 1)
+STEP_BUDGETS = (CPUOptions().max_steps, 60, 17, 5)
+
+
+def observe(module, options, quantum=None, breakpoint=None):
+    """Run ``module`` slice by slice; everything a run leaves observable."""
+    kernel = Kernel()
+    image = Image(module)
+    proc = kernel.create_process(module.name, image)
+    cpu = CPU(image, proc, kernel, options)
+    cpu.hooks[HOOK_POINT] = poke
+    if breakpoint is not None:
+        addr = image.addr_of(*breakpoint)
+        cpu.breakpoints[addr] = lambda c: proc.trace_log.append(["bp", c.stats.steps])
+    slices = []
+    try:
+        while True:
+            status = cpu.run_slice(quantum)
+            slices.append((proc.ledger.cycles, cpu.stats.steps, cpu.rip))
+            if status is not None:
+                break
+        outcome = (status.kind, status.code, status.reason)
+    except Exception as exc:  # the reference raises it too (see strategies)
+        slices.append((proc.ledger.cycles, cpu.stats.steps, cpu.rip))
+        outcome = ("raised", type(exc).__name__, str(exc))
+    return {
+        "status": outcome,
+        "slices": slices,
+        "by_category": list(proc.ledger.by_category.items()),
+        "stats": cpu.stats,
+        "trace": proc.trace_log,
+        "syscalls": proc.syscall_counts,
+        "memory": sorted(proc.memory._words.items()),
+        "registers": (cpu.rip, cpu.fp, cpu.sp, cpu.rax),
+    }
+
+
+@st.composite
+def runs(draw):
+    module = draw(programs())
+    options = CPUOptions(
+        cet=draw(st.booleans()),
+        dfi=draw(st.booleans()),
+        max_steps=draw(st.sampled_from(STEP_BUDGETS)),
+    )
+    breakpoint = None
+    if draw(st.booleans()):
+        func = draw(st.sampled_from(sorted(module.functions)))
+        index = draw(st.integers(0, len(module.functions[func].body) - 1))
+        breakpoint = (func, index)
+    return module, options, draw(st.sampled_from(QUANTA)), breakpoint
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs())
+def test_blocks_match_reference_steps(run):
+    module, options, quantum, breakpoint = run
+    compiled = observe(module, options, quantum, breakpoint)
+    with reference_steps():
+        reference = observe(module, options, quantum, breakpoint)
+    assert compiled == reference
+
+
+def test_negative_cost_leaves_every_instruction_to_step():
+    """``ledger.charge`` raises on a negative cost; blocks would not, so a
+    cost model with one compiles none, and the run raises as the
+    reference does."""
+    costs = CostModel(instr=-1)
+    outcomes = []
+    for reference in (False, True):
+        kernel = Kernel(costs=costs)
+        image = Image(_loop_module())
+        proc = kernel.create_process("m", image)
+        cpu = CPU(image, proc, kernel)
+        with reference_steps() if reference else contextlib.nullcontext():
+            with pytest.raises(ValueError, match="negative cycle charge"):
+                cpu.run()
+        outcomes.append((cpu.stats, cpu.rip, proc.ledger.cycles))
+    assert outcomes[0] == outcomes[1]
+
+
+def _loop_module():
+    mb = ModuleBuilder("m")
+    leaf = mb.function("leaf", params=["x"])
+    leaf.ret(leaf.add(leaf.p("x"), 1))
+    f = mb.function("main")
+    acc = f.const(0, dst="acc")
+    f.loop_range(5, lambda i: f.call("leaf", [acc], dst="acc"))
+    f.intrinsic("trace", [acc])
+    f.ret(acc)
+    return mb.build()
+
+
+def _outcome(outcome):
+    return (str(outcome), outcome.status, outcome.stage_cycles, outcome.syscall_counts)
+
+
+class TestSharedMemo:
+    def test_second_attack_run_compiles_no_block(self, monkeypatch):
+        spec = attack_by_name("control_jujutsu")
+        first = run_attack(spec, None, "cet", defense=CONFIGS["cet"])
+        built = []
+        compile_block = blocks._compile_block
+
+        def counting(*args):
+            built.append(args)
+            return compile_block(*args)
+
+        monkeypatch.setattr(blocks, "_compile_block", counting)
+        second = run_attack(spec, None, "cet", defense=CONFIGS["cet"])
+        assert _outcome(second) == _outcome(first)
+        assert built == []
+
+    def test_blocks_capture_no_run_state(self):
+        status, _proc, cpu = run_module(_loop_module(), options=CPUOptions(cet=True, dfi=True))
+        assert status.code == 5
+        fns = [entry[0] for code in cpu._codes.values() for entry in code.blocks if entry]
+        assert len(fns) >= 4
+        for fn in fns:
+            assert fn.__closure__ is None
+            assert fn.__defaults__ is None and fn.__kwdefaults__ is None
+            assert fn.__globals__ is blocks._GLOBALS
+        for name, value in blocks._GLOBALS.items():
+            if name != "__builtins__":
+                assert isinstance(value, (types.FunctionType, int)), name
+        # the memo's entries reach no CPU, process, memory or ledger
+        per_run = (CPU, Process, Memory, CycleLedger, Kernel, Image)
+        seen, todo = set(), [blocks._codes[f] for f in cpu.image.module.functions.values()
+                             if f in blocks._codes]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, per_run), obj
+            if obj is not blocks._GLOBALS:
+                todo.extend(gc.get_referents(obj))
+
+    def test_callee_frame_growth_reaches_compiled_caller(self):
+        """The caller's compiled call reserves the callee's frame; when the
+        callee gains a local, the next run must reserve the bigger frame or
+        the callee's own call overwrites that local."""
+        mb = ModuleBuilder("m")
+        mb.function("leaf").ret(0)
+        callee = mb.function("callee", params=["x"])
+        callee.call("leaf", [], void=True)
+        callee.ret(callee.p("x"))
+        f = mb.function("main")
+        f.ret(f.call("callee", [41]))
+        module = mb.build()
+        assert run_module(module)[0].code == 41
+
+        func = module.functions["callee"]
+        func.body.insert(0, Const("y", 7))
+        func.body[-1] = Ret(Var("y"))
+        func.invalidate()
+        assert func.frame_size == 2
+        assert run_module(module)[0].code == 7

@@ -1,23 +1,32 @@
-"""The predecoded fast interpreter loop vs the classic reference loop.
+"""Compiled blocks (the default VM path) vs the ``CPU._step`` reference.
 
-``CPUOptions(predecode=...)`` is a wall-clock-only switch by contract:
-both loops must produce identical cycle ledgers, stats, traces, and —
-just as load-bearing — identical faults with identical messages.  These
-tests run the same programs both ways and diff everything observable.
+Blocks are a wall-clock-only device by contract: both paths must produce
+identical cycle ledgers, stats, traces, and — just as load-bearing —
+identical faults with identical messages.  These tests run the same
+programs both ways (``reference_steps`` sends every instruction through
+``_step``) and diff everything observable.
 """
 
+import contextlib
+
 from repro.ir.builder import ModuleBuilder
-from repro.vm.cpu import CPUOptions
-from tests.conftest import run_main, run_module
+from repro.ir.instructions import Imm
+from repro.vm import blocks
+from repro.vm.cpu import CPU, CPUOptions
+from tests.conftest import reference_steps, run_main, run_module
+
+
+def _paths():
+    """The block path, then the ``_step`` reference, as context managers."""
+    return (contextlib.nullcontext(), reference_steps())
 
 
 def _both(module_fn, **options_kwargs):
-    """Run a module under both loops; returns the two (status, proc)."""
+    """Run a module with blocks, then by reference steps; two (status, proc)."""
     out = []
-    for predecode in (True, False):
-        module = module_fn()
-        options = CPUOptions(predecode=predecode, **options_kwargs)
-        status, proc, _cpu = run_module(module, options=options)
+    for path in _paths():
+        with path:
+            status, proc, _cpu = run_module(module_fn(), options=CPUOptions(**options_kwargs))
         out.append((status, proc))
     return out
 
@@ -26,9 +35,10 @@ def _observables(status, proc):
     return {
         "status": (status.kind, status.code),
         "cycles": proc.ledger.cycles,
-        "by_category": dict(proc.ledger.by_category),
+        "by_category": list(proc.ledger.by_category.items()),
         "trace": list(proc.trace_log),
         "syscalls": dict(proc.syscall_counts),
+        "stats": proc.cpu.stats,
     }
 
 
@@ -87,8 +97,22 @@ class TestLoopParity:
         assert _observables(s1, p1) == _observables(s2, p2)
         assert p1.ledger.by_category.get("cet", 0) > 0
 
-    def test_predecode_default_on(self):
-        assert CPUOptions().predecode is True
+    def test_predecode_default_on(self, monkeypatch):
+        """A default ``CPUOptions()`` run executes straight-line code in
+        compiled blocks, not through ``_step``."""
+        stepped = []
+        step = CPU._step
+
+        def counting(cpu, instr):
+            stepped.append(instr)
+            return step(cpu, instr)
+
+        monkeypatch.setattr(CPU, "_step", counting)
+        status, proc, cpu = run_module(_recursion_module(), options=CPUOptions())
+        assert status.code == 40320
+        assert stepped == []
+        assert cpu.stats.steps > 50
+        assert all(isinstance(code, blocks.FunctionCode) for code in cpu._codes.values())
 
 
 class TestFaultParity:
@@ -98,12 +122,13 @@ class TestFaultParity:
 
     def _fault_both(self, body_fn, **options_kwargs):
         outcomes = []
-        for predecode in (True, False):
-            status, proc, _cpu = run_main(
-                body_fn,
-                options=CPUOptions(predecode=predecode, **options_kwargs),
+        for path in _paths():
+            with path:
+                status, proc, cpu = run_main(body_fn, options=CPUOptions(**options_kwargs))
+            outcomes.append(
+                (status.kind, status.code, status.reason, proc.ledger.cycles,
+                 cpu.stats.steps, cpu.rip)
             )
-            outcomes.append((status.kind, status.code, status.reason, proc.ledger.cycles))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == "fault"
         return outcomes[0][2]
@@ -144,12 +169,11 @@ class TestFaultParity:
             cpu.proc.memory.write(cpu.fp + WORD, 0x4140)
 
         outcomes = []
-        for predecode in (True, False):
-            status, proc, _cpu = run_module(
-                module_fn(),
-                options=CPUOptions(predecode=predecode, cet=True),
-                hooks={"smash": smash},
-            )
+        for path in _paths():
+            with path:
+                status, proc, _cpu = run_module(
+                    module_fn(), options=CPUOptions(cet=True), hooks={"smash": smash}
+                )
             outcomes.append(
                 (status.kind, status.code, status.reason, proc.ledger.cycles)
             )
@@ -161,24 +185,22 @@ class TestFaultParity:
 class TestCacheInvalidation:
     def test_function_version_bump_invalidates_decoded_body(self):
         """Structural edits after a first run must not execute stale
-        closures: Function.version keys the per-CPU decode cache."""
-        from repro.kernel.kernel import Kernel
-        from repro.vm.cpu import CPU
-        from repro.vm.loader import Image
-
+        blocks: ``Function.version`` keys the shared block memo, so an
+        edited body runs as edited on a fresh image and CPU."""
         mb = ModuleBuilder("m")
         f = mb.function("main")
         f.intrinsic("trace", [1])
         f.ret(7)
         module = mb.build()
 
-        kernel = Kernel()
-        image = Image(module)
-        proc = kernel.create_process("m", image)
-        cpu = CPU(image, proc, kernel, CPUOptions())
-        status = cpu.run()
-        assert status.code == 7
+        status, proc, _cpu = run_module(module)
+        assert (status.code, proc.trace_log) == (7, [[1]])
+
         func = module.functions["main"]
         version_before = func.version
+        func.body[0].args[0] = Imm(2)  # same length: only version tells
+        func.body[-1].value = Imm(9)
         func.invalidate()
         assert func.version > version_before
+        status, proc, _cpu = run_module(module)
+        assert (status.code, proc.trace_log) == (9, [[2]])
