@@ -44,6 +44,7 @@ from repro.kernel.mm import (
     standard_layout,
 )
 from repro.kernel.net import (
+    AF_INET,
     EPOLL_CTL_ADD,
     EPOLL_CTL_DEL,
     EPOLL_CTL_MOD,
@@ -590,15 +591,12 @@ class Kernel:
 
     def _copy_bytes_to_user(self, proc, addr, data):
         """Write up to ELIDE_BYTES of payload into memory, one byte per slot."""
-        for i, byte in enumerate(data[:ELIDE_BYTES]):
-            proc.memory.write(addr + i * WORD, byte)
+        proc.memory.write_block(addr, data[:ELIDE_BYTES])
 
     def _read_bytes_from_user(self, proc, addr, count):
         """Read up to ELIDE_BYTES of payload; caller pads to full count."""
-        take = min(count, ELIDE_BYTES)
-        return bytes(
-            proc.memory.read(addr + i * WORD) & 0xFF for i in range(take)
-        )
+        words = proc.memory.read_block(addr, min(count, ELIDE_BYTES))
+        return bytes([word & 0xFF for word in words])
 
     def _refresh_shadow(self, proc, addr, nslots):
         """Kernel-written user memory is a legitimate update: keep the
@@ -649,18 +647,25 @@ class Kernel:
         return len(chunk)
 
     def _sys_write(self, proc, args):
+        """write(fd, buf, count).  A count negative as a signed register is
+        above SSIZE_MAX: Linux's access_ok fails it with EFAULT after the fd
+        checks, before any byte is charged."""
         fd, buf, count = (self._arg(args, i) for i in range(3))
         desc = proc.fdtable.get(fd)
         if desc is None:
             # stdout/stderr: swallow but succeed
-            if fd in (1, 2):
-                self._charge_io(proc, count)
-                return count
-            return -errno.EBADF
+            if fd not in (1, 2):
+                return -errno.EBADF
+            if count < 0:
+                return -errno.EFAULT
+            self._charge_io(proc, count)
+            return count
         prefix = self._read_bytes_from_user(proc, buf, count)
+        if isinstance(desc, Socket) and desc.connection is None:
+            return -errno.ENOTSOCK
+        if count < 0:
+            return -errno.EFAULT
         if isinstance(desc, Socket):
-            if desc.connection is None:
-                return -errno.ENOTSOCK
             self.net.account_send(count)
             self._charge_net(proc, count)
             desc.connection.server_write(count, prefix)
@@ -709,10 +714,9 @@ class Kernel:
 
     def _write_stat(self, proc, statbuf, node):
         kind_bits = S_IFREG if node.kind == "file" else S_IFDIR
-        proc.memory.write(statbuf, kind_bits | node.mode)
-        proc.memory.write(statbuf + WORD, node.size)
-        proc.memory.write(statbuf + 2 * WORD, node.uid)
-        proc.memory.write(statbuf + 3 * WORD, node.gid)
+        proc.memory.write_block(
+            statbuf, (kind_bits | node.mode, node.size, node.uid, node.gid)
+        )
         self._refresh_shadow(proc, statbuf, 4)
         return 0
 
@@ -729,8 +733,7 @@ class Kernel:
         if desc is None:
             return -errno.EBADF
         if isinstance(desc, Socket):
-            proc.memory.write(statbuf, 0o140000)
-            proc.memory.write(statbuf + WORD, 0)
+            proc.memory.write_block(statbuf, (0o140000, 0))
             return 0
         return self._write_stat(proc, statbuf, desc.node)
 
@@ -761,6 +764,8 @@ class Kernel:
         desc = proc.fdtable.get(fd)
         if desc is None or isinstance(desc, Socket):
             return -errno.EBADF
+        if count < 0:
+            return -errno.EFAULT  # as in _sys_write
         prefix = self._read_bytes_from_user(proc, buf, count)
         saved = desc.pos
         desc.pos = offset
@@ -773,12 +778,8 @@ class Kernel:
 
     def _read_iovec(self, proc, iov_ptr, iovcnt):
         """Decode a ``struct iovec`` array: (base, len) pairs, one slot each."""
-        vectors = []
-        for i in range(min(iovcnt, 64)):
-            base = proc.memory.read(iov_ptr + 2 * i * WORD)
-            length = proc.memory.read(iov_ptr + (2 * i + 1) * WORD)
-            vectors.append((base, max(length, 0)))
-        return vectors
+        words = proc.memory.read_block(iov_ptr, 2 * min(iovcnt, 64))
+        return [(words[i], max(words[i + 1], 0)) for i in range(0, len(words), 2)]
 
     def _sys_readv(self, proc, args):
         fd, iov_ptr, iovcnt = (self._arg(args, i) for i in range(3))
@@ -812,8 +813,7 @@ class Kernel:
         pipe = _Pipe()
         read_fd = proc.fdtable.install(_PipeEnd(pipe, readable=True))
         write_fd = proc.fdtable.install(_PipeEnd(pipe, readable=False))
-        proc.memory.write(fds_ptr, read_fd)
-        proc.memory.write(fds_ptr + WORD, write_fd)
+        proc.memory.write_block(fds_ptr, (read_fd, write_fd))
         return 0
 
     def _sys_dup2(self, proc, args):
@@ -950,10 +950,7 @@ class Kernel:
         return proc.fdtable.install(Socket(domain, type_, protocol))
 
     def _read_sockaddr(self, proc, addr_ptr):
-        family = proc.memory.read(addr_ptr)
-        port = proc.memory.read(addr_ptr + WORD)
-        host = proc.memory.read(addr_ptr + 2 * WORD)
-        return family, port, host
+        return proc.memory.read_block(addr_ptr, SOCKADDR_SLOTS)
 
     def _sys_bind(self, proc, args):
         fd, addr_ptr = self._arg(args, 0), self._arg(args, 1)
@@ -995,9 +992,7 @@ class Kernel:
         new_fd = proc.fdtable.install(conn_sock)
         if addr_ptr:
             # kernel-written out-parameter (§9.2's struct sockaddr)
-            proc.memory.write(addr_ptr, 2)  # AF_INET
-            proc.memory.write(addr_ptr + WORD, conn.peer_port)
-            proc.memory.write(addr_ptr + 2 * WORD, conn.peer_host)
+            proc.memory.write_block(addr_ptr, (AF_INET, conn.peer_port, conn.peer_host))
             self._refresh_shadow(proc, addr_ptr, SOCKADDR_SLOTS)
         return new_fd
 
@@ -1059,8 +1054,7 @@ class Kernel:
             return -errno.EPERM
         mask, data = EPOLLIN, fd
         if event_ptr:
-            mask = proc.memory.read(event_ptr)
-            data = proc.memory.read(event_ptr + WORD)
+            mask, data = proc.memory.read_block(event_ptr, 2)
         if op == EPOLL_CTL_ADD:
             return 0 if ep.add(fd, target, mask, data) else -errno.EEXIST
         if op == EPOLL_CTL_MOD:
@@ -1089,9 +1083,9 @@ class Kernel:
             proc.ledger.charge(
                 len(ready) * self.costs.epoll_per_event, "kernel"
             )
-            for i, (fd, events, data) in enumerate(ready):
-                proc.memory.write(events_ptr + 2 * i * WORD, events)
-                proc.memory.write(events_ptr + (2 * i + 1) * WORD, data)
+            proc.memory.write_block(
+                events_ptr, [word for _fd, events, data in ready for word in (events, data)]
+            )
             # kernel-written out-parameter, like the accept4 sockaddr
             self._refresh_shadow(proc, events_ptr, 2 * len(ready))
             self.telemetry.count("epoll.events", len(ready))

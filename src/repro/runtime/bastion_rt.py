@@ -15,6 +15,7 @@ copies of statically-identified sensitive globals (string constants such as
 an ``execve`` path live here before any instrumented store runs).
 """
 
+from repro.errors import ReproError
 from repro.runtime.shadow_table import (
     BIND_CONST,
     BIND_MEM,
@@ -37,9 +38,10 @@ class BastionRuntime:
         self.write_count = 0
         self.bind_count = 0
         #: shadow-update listeners (the monitor's verdict cache).  Notified
-        #: only when an update *changes* the stored value: a server's steady
-        #: state re-binds the same callsite with the same payload on every
-        #: iteration, and re-notifying on each would thrash any cache.
+        #: only when an update creates an entry or *changes* its stored
+        #: value: a server's steady state re-binds the same callsite with
+        #: the same payload on every iteration, and re-notifying on each
+        #: would thrash any cache.
         self._listeners = []
 
     def subscribe(self, listener):
@@ -51,12 +53,21 @@ class BastionRuntime:
     def ctx_write_mem(self, addr, size=1):
         """Update the shadow copy of ``size`` slots at ``addr``."""
         memory = self.proc.memory
+        words = memory._words
+        find = self.copies.find
         for i in range(max(size, 1)):
             slot_addr = addr + i * WORD
             value = memory.read(slot_addr)
-            previous = self.copies.get(slot_addr)
-            self.copies.put(slot_addr, (value,))
-            if previous is None or previous[0] != value:
+            entry, found = find(slot_addr)
+            if not slot_addr:  # refused as ``ShadowTable.put`` refuses it
+                raise ReproError("shadow table key must be nonzero")
+            if found:
+                changed = words.get(entry + WORD, 0) != value
+            else:
+                words[entry] = slot_addr
+                changed = True
+            words[entry + WORD] = value
+            if changed:
                 for listener in self._listeners:
                     listener.on_shadow_write(slot_addr)
         self.write_count += 1
@@ -73,21 +84,23 @@ class BastionRuntime:
         if not 1 <= position <= self.MAX_ARGS:
             raise ValueError("argument position %d out of range" % position)
         memory = self.proc.memory
-        offset = 2 + (position - 1) * 2  # key, argmask, then (kind, payload) pairs
-        previous = self.bindings.get(callsite_addr)
-        entry = self.bindings.update_word(callsite_addr, offset, kind)
-        payload_addr = entry + (offset + 1) * WORD
-        memory.write(payload_addr, payload)
+        words = memory._words
+        entry, found = self.bindings.find(callsite_addr)
+        # key, argmask, then (kind, payload) pairs
+        kind_addr = entry + (2 + (position - 1) * 2) * WORD
+        changed = (
+            not found
+            or words.get(kind_addr, 0) != kind
+            or words.get(kind_addr + WORD, 0) != payload
+        )
+        if not found:
+            words[entry] = callsite_addr
+        words[kind_addr] = kind
+        memory.write(kind_addr + WORD, payload)  # rejects a non-int payload
         # maintain the bound-argument mask
         mask_addr = entry + WORD
-        mask = memory.read(mask_addr)
-        memory.write(mask_addr, mask | (1 << (position - 1)))
+        words[mask_addr] = words.get(mask_addr, 0) | (1 << (position - 1))
         self.bind_count += 1
-        changed = (
-            previous is None
-            or previous[offset - 1] != kind
-            or previous[offset] != payload
-        )
         if changed:
             for listener in self._listeners:
                 listener.on_bind_write(callsite_addr)

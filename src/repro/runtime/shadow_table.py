@@ -65,40 +65,41 @@ class ShadowTable:
         self.memory = memory
         self.layout = layout
 
-    def _find_slot(self, key, create):
-        for slot in self.layout.probe_sequence(key):
-            addr = self.layout.entry_addr(slot)
-            existing = self.memory.read(addr)
+    def find(self, key):
+        """``(address, True)`` of ``key``'s entry, or ``(address, False)``
+        of the empty entry it would take: one linear probe, raising
+        :class:`ReproError` if the table is full."""
+        layout = self.layout
+        read = self.memory.read
+        mask = layout.capacity - 1
+        stride = layout.entry_words * WORD
+        slot = ((key >> 3) * _HASH_MULT) & mask
+        for _ in range(layout.capacity):
+            addr = layout.base + slot * stride
+            existing = read(addr)
             if existing == key:
-                return addr
+                return addr, True
             if existing == 0:
-                if create:
-                    self.memory.write(addr, key)
-                    return addr
-                return None
-        raise ReproError("shadow table full (capacity %d)" % self.layout.capacity)
+                return addr, False
+            slot = (slot + 1) & mask
+        raise ReproError("shadow table full (capacity %d)" % layout.capacity)
 
     def put(self, key, values):
         """Write entry payload words for ``key`` (creating the entry)."""
         if key == 0:
             raise ReproError("shadow table key must be nonzero")
-        addr = self._find_slot(key, create=True)
-        for i, value in enumerate(values, start=1):
-            self.memory.write(addr + i * WORD, value)
+        addr, found = self.find(key)
+        if not found:
+            self.memory.write(addr, key)
+        self.memory.write_block(addr + WORD, values)
         return addr
 
     def get(self, key):
         """Payload words for ``key``, or None."""
-        addr = self._find_slot(key, create=False)
-        if addr is None:
+        addr, found = self.find(key)
+        if not found:
             return None
         return self.memory.read_block(addr + WORD, self.layout.entry_words - 1)
-
-    def update_word(self, key, offset, value):
-        """Write one payload word at ``offset`` (1-based past the key)."""
-        addr = self._find_slot(key, create=True)
-        self.memory.write(addr + offset * WORD, value)
-        return addr
 
 
 class ShadowTableReader:

@@ -7,6 +7,8 @@ ret, syscall or intrinsic, into one generated Python function.  Frame-slot
 offsets, immediates, jump targets, callee frame sizes, global addresses
 and cycle charges are baked into its source, so a block pays no decoding,
 one ledger update and one set of loop checks for all its instructions.
+An indirect call looks its callee's frame size and arity up in a per-CPU
+memo (``CPU._callees``) keyed by the target address.
 
 **Sharing.**  A block takes ``(cpu, words, ledger, by_category, stats,
 fp)`` as arguments and captures nothing: it has no closure cells, and its
@@ -15,22 +17,24 @@ every CPU and every run of the same code, and adds no reference cycle to
 a run.  :func:`function_code` memoizes a function's blocks by all
 that the source bakes in: the body object and its ``version``, the image
 layout (function bases, global addresses, every function's frame size
-and arity, struct layouts), the ``CostModel`` and the CET/DFI flags.
-Identical block source compiles once.
+and arity, struct layouts), the ``CostModel`` and the CET/DFI/LLVM-CFI
+flags.  Identical block source compiles once.
 
 **Exactness.**  ``CPU.run_slice`` runs a block only when every
 instruction in it would pass the reference loop's per-instruction checks
 (step budget, quantum, frame pointer, breakpoints); otherwise it takes one
 ``_step``.  Inside a block, an instruction that would fault at run time
 (a negative or unaligned computed load/store address, a call whose stack
-pointer would fault) or raise (a ``//``/``%`` whose float division could
+pointer would fault, an indirect call to an address that is no
+instruction) or raise (a ``//``/``%`` whose float division could
 overflow, a negative ``cycle_burn``) ends the block early: the block
 commits the completed prefix's ``rip``, steps and cycles and hands that
-one instruction to ``_step``, which raises the exact fault after the
-exact charges.  What the compiler cannot prove safe (``CallIndirect``,
-``halt``, unknown labels, structs, globals or callees, malformed
-operands, negative costs) is left to ``_step`` and ends the block before
-it, so an instruction that never runs never raises.
+one instruction to ``_step``, which raises the exact fault (or kills)
+after the exact charges.  What the compiler cannot prove safe
+(``CallIndirect`` under LLVM-CFI, ``halt``, unknown labels, structs,
+globals or callees, malformed operands, negative costs) is left to
+``_step`` and ends the block before it, so an instruction that never runs
+never raises.
 """
 
 import builtins
@@ -79,7 +83,7 @@ _codes = weakref.WeakKeyDictionary()
 _compiled = weakref.WeakValueDictionary()
 
 
-def context_key(image, costs, cet, dfi):
+def context_key(image, costs, cet, dfi, cfi):
     """Everything a block bakes in beyond its own function's body."""
     module = image.module
     layout = (
@@ -91,7 +95,7 @@ def context_key(image, costs, cet, dfi):
         ),
         tuple(module.types.structs.values()),
     )
-    return (_layouts.setdefault(layout, len(_layouts)), costs, bool(cet), bool(dfi))
+    return (_layouts.setdefault(layout, len(_layouts)), costs, bool(cet), bool(dfi), bool(cfi))
 
 
 def function_code(func, base, context):
@@ -135,7 +139,7 @@ def _compile_block(func, image, base, context, start):
     costs = context[1]
     if not all(type(cost) is int and cost >= 0 for cost in vars(costs).values()):
         return False  # ``ledger.charge`` must raise on a negative cost
-    writer = _BlockWriter(func, image, base, costs, context[2], context[3])
+    writer = _BlockWriter(func, image, base, costs, *context[2:])
     if not writer.write(start):
         return False
     source = "def block(cpu, words, ledger, by_category, stats, fp):\n%s\n" % "\n".join(
@@ -209,6 +213,18 @@ def _ret_site(image, return_addr):
     return 0
 
 
+def _callee(cpu, target):
+    """``(frame size, arity)`` of the function holding code address
+    ``target``, memoized in ``cpu._callees``; None if ``target`` is no
+    instruction address (``_step`` raises the fetch fault, or kills)."""
+    try:
+        func, _index = cpu.image.resolve_code(target)
+    except ExecutionFault:
+        return None
+    callee = cpu._callees[target] = (func.frame_size, len(func.params))
+    return callee
+
+
 def _set_result(cpu, words, offset, result):
     """Like ``CPU._set_var`` for a syscall's destination, addressed from
     the frame pointer the handler left."""
@@ -223,6 +239,7 @@ def _set_result(cpu, words, offset, result):
 _GLOBALS = {
     "__builtins__": builtins,
     "_bail": _bail,
+    "_callee": _callee,
     "_return": _return,
     "_set_result": _set_result,
     "_wrap": _wrap,
@@ -261,13 +278,14 @@ class _BlockWriter:
     computed store might alias them.
     """
 
-    def __init__(self, func, image, base, costs, cet, dfi):
+    def __init__(self, func, image, base, costs, cet, dfi, cfi):
         self.func = func
         self.image = image
         self.base = base
         self.costs = costs
         self.cet = cet
         self.dfi = dfi
+        self.cfi = cfi
         self.lines = []
         self.count = 0  # instructions in the block so far
         self.committed = False
@@ -483,6 +501,9 @@ class _BlockWriter:
         elif kind is Call:
             self.call(instr)
             return True
+        elif kind is CallIndirect:
+            self.call_indirect(instr)
+            return True
         elif kind is Ret:
             self.ret(instr)
             return True
@@ -566,6 +587,42 @@ class _BlockWriter:
             self.charge("cet", self.costs.cet_per_transfer)
         self.charge("app", self.costs.call)
         self.emit("stats.calls += 1")
+        self.commit(target)
+
+    def call_indirect(self, instr):
+        """Like ``CPU._step``'s ``CallIndirect`` arm, LLVM-CFI off (on, the
+        check is ``_step``'s).  The callee's frame size and arity come from
+        ``cpu._callees``; a target that is no instruction address, or a
+        stack pointer that would fault, goes to ``_step``."""
+        if self.cfi:
+            raise _Unsupported(instr)
+        target = _src(self.read(instr.target))
+        args = [_src(self.wrapped(self.read(a))) for a in instr.args]
+        return_addr = self.addr(self.index) + INSTR_STRIDE
+        self.emit("callee = cpu._callees.get(%s)" % target)
+        self.emit("if callee is None:")
+        self.emit("callee = _callee(cpu, %s)" % target, 2)
+        self.emit("if callee is None:", 2)
+        self.bail(3)
+        self.emit("frame, arity = callee")
+        self.emit("sp = cpu.sp - %d" % (2 * WORD))
+        # the call writes min(len(args), arity) arguments below ``sp``
+        n = len(args)
+        low = "%d * (arity if arity < %d else %d)" % (WORD, n, n) if n else "0"
+        self.emit("if sp < %s or sp & 7:" % low)
+        self.bail()
+        self.emit("cpu.sp = sp - %d * frame" % WORD)
+        self.emit("words[sp + %d] = %d" % (WORD, return_addr))
+        self.emit("words[sp] = fp")
+        self.emit("cpu.fp = sp")
+        for i, value in enumerate(args):
+            self.emit("if arity > %d:" % i)
+            self.emit("words[sp - %d] = %s" % (WORD * (i + 1), value), 2)
+        if self.cet:
+            self.emit("cpu.shadow_stack.push(%d)" % return_addr)
+            self.charge("cet", self.costs.cet_per_transfer)
+        self.charge("app", self.costs.call)
+        self.emit("stats.indirect_calls += 1")
         self.commit(target)
 
     def ret(self, instr):

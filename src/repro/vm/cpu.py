@@ -153,6 +153,9 @@ class CPU:
         #: code address -> (compiled blocks, function) holding it, for
         #: the addresses control transfers land on
         self._entries = {}
+        #: code address -> (frame size, arity) of the function holding it,
+        #: for the targets compiled indirect calls land on
+        self._callees = {}
         #: memo key of everything blocks bake in beyond a function body
         self._context = None
         #: return address -> caller destination frame offset (0: none)
@@ -297,8 +300,9 @@ class CPU:
         code = self._codes.get(name)
         if code is None or code.body is not func.body or code.version != func.version:
             if self._context is None:
+                options = self.options
                 self._context = blocks.context_key(
-                    image, self.costs, self.options.cet, self.options.dfi
+                    image, self.costs, options.cet, options.dfi, options.llvm_cfi
                 )
             code = blocks.function_code(func, image.func_base[name], self._context)
             self._codes[name] = code

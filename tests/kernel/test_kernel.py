@@ -17,6 +17,7 @@ from repro.kernel.vfs import O_CREAT
 from repro.syscalls.table import nr_of
 from repro.vm.loader import Image
 from repro.vm.memory import WORD
+from tests.conftest import make_wrapper, run_module
 
 
 @pytest.fixture
@@ -217,6 +218,48 @@ class TestSockets:
         path = _cstr(proc, STR, "/tmp/data")
         fd = kernel.dispatch(proc, "open", [path, 0, 0])
         assert kernel.dispatch(proc, "bind", [fd, BUF, 16]) == -errno.ENOTSOCK
+
+
+class TestNegativeWriteCount:
+    """A count negative as a signed register is above SSIZE_MAX: the write
+    fails with EFAULT, as Linux's access_ok makes it, and charges nothing."""
+
+    def _targets(self, kernel, proc):
+        """stdout, a connected socket and a regular file."""
+        lfd = TestSockets()._listening(kernel, proc)
+        conn = Connection()
+        kernel.net.backlog_provider = lambda sock: conn
+        sock = kernel.dispatch(proc, "accept", [lfd, 0, 0])
+        path = _cstr(proc, STR, "/tmp/out")
+        file_fd = kernel.dispatch(proc, "open", [path, O_CREAT, 0o644])
+        return {"stdout": 1, "socket": sock, "file": file_fd}, conn
+
+    @pytest.mark.parametrize("target", ["stdout", "socket", "file"])
+    @pytest.mark.parametrize("name", ["write", "pwrite64", "sendto"])
+    def test_fails_without_charging(self, setup, name, target):
+        kernel, proc = setup
+        fds, conn = self._targets(kernel, proc)
+        fd = fds[target]
+        expected = -errno.EFAULT
+        if name == "pwrite64" and target != "file":
+            expected = -errno.EBADF  # pwrite64's fd check comes first
+        before = proc.ledger.cycles
+        args = [fd, BUF, -1, 0] if name == "pwrite64" else [fd, BUF, -1]
+        assert kernel.dispatch(proc, name, args) == expected
+        assert proc.ledger.cycles == before
+        assert conn.bytes_out == 0 and kernel.net.bytes_sent == 0
+        assert kernel.vfs.lookup("/tmp/out").data == b""
+
+    def test_program_keeps_running(self):
+        """``n = 0 - 1; write(1, &msg, n)`` returns -EFAULT to the program."""
+        mb = ModuleBuilder("t")
+        mb.global_string("msg", "hi")
+        make_wrapper(mb, "write", 3)
+        f = mb.function("main")
+        n = f.sub(0, 1)
+        f.ret(f.call("write", [1, f.addr_global("msg"), n]))
+        status, _proc, _cpu = run_module(mb.build())
+        assert (status.kind, status.code) == ("returned", -errno.EFAULT)
 
 
 class TestProcessSyscalls:

@@ -69,10 +69,17 @@ class TestWriter:
             table.put(0x9999998, (9,))
 
     def test_update_word(self):
+        """One payload word written at the entry ``find`` locates, as the
+        runtime's bind does: the key is claimed once, then found."""
         layout = small_layout(entry_words=4)
-        table = ShadowTable(Memory(), layout)
-        table.update_word(0x1000, 2, 77)
-        assert table.get(0x1000)[1] == 77
+        memory = Memory()
+        table = ShadowTable(memory, layout)
+        addr, found = table.find(0x1000)
+        assert not found and table.get(0x1000) is None
+        memory.write(addr, 0x1000)
+        memory.write(addr + 2 * WORD, 77)
+        assert table.find(0x1000) == (addr, True)
+        assert table.get(0x1000) == [0, 77, 0]
 
 
 class TestReader:

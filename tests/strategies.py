@@ -5,16 +5,21 @@
 drawn from every instruction kind the VM executes.  Values range beyond
 64 bits, memory accesses go to good, negative and unaligned addresses,
 and loops, calls, a syscall wrapper, ``cycle_burn``, ``trace`` and a
-``hook`` point appear.  Every loop has a constant trip count and no
-generated write can reach a loop counter or a saved frame word, so each
-program ends: by returning, by a fault, or by an exception the reference
-VM raises too (a negative ``cycle_burn``, a float-overflowing ``//``).
+``hook`` point appear.  Indirect calls pass fewer, as many or more
+arguments than their callee takes, and some land on no function entry:
+a helper's ``ret``, data, a misaligned address, or between text and
+data.  Every loop has a constant trip count, a call (direct or indirect)
+reaches only an earlier helper, and no generated write can reach a loop
+counter or a saved frame word, so each program ends: by returning, by a
+fault, or by an exception the reference VM raises too (a negative
+``cycle_burn``, a float-overflowing ``//``).
 """
 
 from hypothesis import strategies as st
 
 from repro.ir.builder import ModuleBuilder
 from repro.ir.instructions import BINOPS, Imm
+from repro.vm.loader import DATA_BASE, INSTR_STRIDE
 from repro.vm.memory import WORD
 from tests.conftest import make_wrapper
 
@@ -32,10 +37,12 @@ _VALUES = st.one_of(
 
 
 def poke(cpu):
-    """The generated programs' hook: writes beyond-64-bit values to memory."""
+    """The generated programs' hook: writes beyond-64-bit values to memory,
+    and traces the frame registers (a callee's frame is sized right)."""
     addr = cpu.image.global_addr["g_buf"] + WORD * (cpu.stats.steps % BUF_SLOTS)
     cpu.proc.memory.write(addr, (1 << 70) + cpu.stats.steps)
     cpu.proc.memory.write(cpu.image.global_addr["g_hook"], cpu.ledger.cycles)
+    cpu.proc.trace_log.append(["poke", cpu.fp, cpu.sp])
 
 
 class _Emitter:
@@ -44,7 +51,7 @@ class _Emitter:
     def __init__(self, draw, fb, helpers):
         self.draw = draw
         self.fb = fb
-        self.helpers = helpers  # (name, arity) of callable helpers
+        self.helpers = helpers  # the callable helpers' Functions
         self.values = [Imm(0)] + [fb.p(p) for p in fb.func.params]
         self.fb.const(0, dst="spill")
 
@@ -82,8 +89,8 @@ class _Emitter:
         kind = self.draw(
             st.sampled_from(
                 ["const", "binop", "binop", "binop", "move", "load", "store",
-                 "local", "gep", "call", "syscall", "burn", "trace", "hook",
-                 "loop", "if", "bad"]
+                 "local", "gep", "call", "icall", "icall", "icall", "syscall",
+                 "burn", "trace", "hook", "loop", "if", "bad"]
             )
         )
         if kind == "const":
@@ -109,8 +116,10 @@ class _Emitter:
             fb.store(ptr, self.operand())
             self.keep(fb.load(ptr))
         elif kind == "call" and self.helpers:
-            name, arity = self.draw(st.sampled_from(self.helpers))
-            self.keep(fb.call(name, [self.operand() for _ in range(arity)]))
+            helper = self.draw(st.sampled_from(self.helpers))
+            self.keep(fb.call(helper.name, [self.operand() for _ in helper.params]))
+        elif kind == "icall" and self.helpers:
+            self.icall()
         elif kind == "syscall":
             self.keep(fb.call("getpid", []))
         elif kind == "burn":
@@ -140,6 +149,33 @@ class _Emitter:
         elif kind == "bad":
             self.bad_access()
 
+    def icall(self):
+        """An indirect call with 0-3 arguments, whatever the target's arity."""
+        target = self.icall_target()
+        args = [self.operand() for _ in range(self.draw(st.integers(0, 3)))]
+        if self.draw(st.booleans()):
+            self.keep(self.fb.icall(target, args))
+        else:
+            self.fb.icall(target, args, void=True)
+
+    def icall_target(self):
+        """Mostly an earlier helper's entry; else an address that is none."""
+        fb = self.fb
+        helper = self.draw(st.sampled_from(self.helpers))
+        kind = self.draw(
+            st.sampled_from(["entry", "entry", "ret", "ret", "ret", "data", "plus", "gap"])
+        )
+        if kind == "entry":
+            return fb.funcaddr(helper.name)
+        if kind == "ret":
+            last = INSTR_STRIDE * (len(helper.body) - 1)
+            return fb.add(fb.funcaddr(helper.name), last)
+        if kind == "data":
+            return fb.addr_global("g_buf")
+        if kind == "plus":
+            return fb.add(fb.funcaddr(helper.name), self.draw(st.integers(1, 3)))
+        return Imm(DATA_BASE - WORD)  # past the text, before the data
+
     def bad_access(self):
         """A load or store that faults."""
         if self.draw(st.booleans()):
@@ -167,8 +203,10 @@ def programs(draw):
         emitter = _Emitter(draw, fb, list(helpers))  # calls only earlier helpers
         emitter.ops(draw(st.integers(min_value=1, max_value=8)))
         emitter.ret()
-        helpers.append(("f%d" % k, arity))
+        helpers.append(fb.func)
     emitter = _Emitter(draw, mb.function("main"), helpers)
+    if helpers and draw(st.booleans()):
+        emitter.icall()  # reached before any generated fault
     emitter.ops(draw(st.integers(min_value=1, max_value=16)))
     if draw(st.booleans()):
         emitter.bad_access()

@@ -45,15 +45,21 @@ def observe(module, options, quantum=None, breakpoint=None):
         addr = image.addr_of(*breakpoint)
         cpu.breakpoints[addr] = lambda c: proc.trace_log.append(["bp", c.stats.steps])
     slices = []
+
+    def preempted():
+        """What another process could see where the slice ended."""
+        words = sorted(proc.memory._words.items())
+        slices.append((proc.ledger.cycles, cpu.stats.steps, cpu.rip, cpu.fp, cpu.sp, words))
+
     try:
         while True:
             status = cpu.run_slice(quantum)
-            slices.append((proc.ledger.cycles, cpu.stats.steps, cpu.rip))
+            preempted()
             if status is not None:
                 break
         outcome = (status.kind, status.code, status.reason)
     except Exception as exc:  # the reference raises it too (see strategies)
-        slices.append((proc.ledger.cycles, cpu.stats.steps, cpu.rip))
+        preempted()
         outcome = ("raised", type(exc).__name__, str(exc))
     return {
         "status": outcome,
@@ -72,6 +78,7 @@ def runs(draw):
     module = draw(programs())
     options = CPUOptions(
         cet=draw(st.booleans()),
+        llvm_cfi=draw(st.booleans()),
         dfi=draw(st.booleans()),
         max_steps=draw(st.sampled_from(STEP_BUDGETS)),
     )

@@ -1,13 +1,112 @@
 """Tests (incl. property-based) for the simulated memory."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SegmentationFault
 from repro.vm.memory import Memory, WORD
 
 addresses = st.integers(min_value=0, max_value=1 << 47).map(lambda a: a * WORD)
 values = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
+
+
+class PerWord(Memory):
+    """The reference: each bulk helper as one ``read``/``write`` per slot."""
+
+    def read_block(self, addr, nwords):
+        return [self.read(addr + i * WORD) for i in range(nwords)]
+
+    def write_block(self, addr, words):
+        for i, value in enumerate(words):
+            self.write(addr + i * WORD, value)
+
+    def read_cstr(self, addr, max_slots=4096):
+        chars = []
+        for i in range(max_slots):
+            word = self.read(addr + i * WORD)
+            if word == 0:
+                return "".join(chars)
+            chars.append(chr(word & 0x10FFFF))
+        return "".join(chars)
+
+    def write_cstr(self, addr, text):
+        for i, ch in enumerate(text):
+            self.write(addr + i * WORD, ord(ch))
+        self.write(addr + len(text) * WORD, 0)
+        return len(text) + 1
+
+    def read_vector(self, addr, max_entries=64):
+        out = []
+        for i in range(max_entries):
+            word = self.read(addr + i * WORD)
+            if word == 0:
+                break
+            out.append(word)
+        return out
+
+
+#: where the seeded words live; valid starts fall in and around them
+SEED_BASE = 0x1000
+
+starts = st.one_of(
+    st.integers(-8, 80).map(lambda i: SEED_BASE + i * WORD),
+    st.integers(1, 1 << 20).map(lambda a: -a),
+    st.tuples(st.integers(0, 80), st.integers(1, 7)).map(
+        lambda t: SEED_BASE + t[0] * WORD + t[1]
+    ),
+    st.just("0x1000"),
+    st.just(True),
+)
+lengths = st.one_of(st.just(0), st.integers(-3, -1), st.integers(1, 600))
+slot_values = st.one_of(
+    st.integers(0, 255),
+    st.integers(-(1 << 70), 1 << 70),
+    st.sampled_from([0, True]),
+)
+
+
+@st.composite
+def value_runs(draw):
+    """Values for ``write_block``, some with a non-int at a random place,
+    and the container to pass them in (bytes only when they fit)."""
+    run = draw(st.lists(slot_values, max_size=600))
+    if draw(st.booleans()):
+        run.insert(draw(st.integers(0, len(run))), draw(st.sampled_from(["x", None, 1.5])))
+    kinds = ["list", "tuple", "iterator"]
+    if all(type(v) is int and 0 <= v < 256 for v in run):
+        kinds.append("bytes")
+    return draw(st.sampled_from(kinds)), run
+
+
+@st.composite
+def bulk_calls(draw):
+    """One bulk-helper call: (method name, start, argument)."""
+    name = draw(st.sampled_from(
+        ["read_block", "write_block", "read_cstr", "write_cstr", "read_vector"]
+    ))
+    if name == "write_block":
+        arg = draw(value_runs())
+    elif name == "write_cstr":
+        arg = draw(st.text(max_size=40))
+    else:
+        arg = draw(lengths)
+    return name, draw(starts), arg
+
+
+_CONTAINERS = {"list": list, "tuple": tuple, "iterator": iter, "bytes": bytes}
+
+
+def _outcome(memory, name, start, arg):
+    """What one call leaves observable: its result or exception, and
+    every slot (in write order)."""
+    if name == "write_block":
+        kind, run = arg
+        arg = _CONTAINERS[kind](run)
+    try:
+        result = ("returned", getattr(memory, name)(start, arg))
+    except Exception as exc:
+        result = ("raised", type(exc), str(exc))
+    return result, list(memory._words.items())
 
 
 class TestBasics:
@@ -121,3 +220,21 @@ class TestProperties:
         m.write(b, vb)
         assert m.read(a) == va
         assert m.read(b) == vb
+
+
+class TestBulkEqualsPerWord:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.lists(st.tuples(st.integers(0, 80), slot_values), max_size=60),
+        calls=st.lists(bulk_calls(), min_size=1, max_size=4),
+    )
+    def test_bulk_helpers_equal_per_word_loops(self, seed, calls):
+        """Same return value or exception (type and text), same word dict
+        afterwards, explicit zero entries included."""
+        bulk, reference = Memory(), PerWord()
+        for memory in (bulk, reference):
+            for index, value in seed:
+                memory.write(SEED_BASE + index * WORD, value)
+        for call in calls:
+            assert _outcome(bulk, *call) == _outcome(reference, *call)
+        assert bulk.mapped_count() == reference.mapped_count()
