@@ -29,17 +29,12 @@ benchmark in ``benchmarks/e2e`` (see ``docs/perf.md``).
 
 from dataclasses import dataclass, field
 
-from repro.bench.harness import (
-    CONFIGS,
-    DefenseConfig,
-    SIM_HZ,
-    run_app,
-    run_app_scheduled,
-)
+from repro.bench.harness import CONFIGS, DefenseConfig, SIM_HZ, run_app
 from repro.compiler.pipeline import BastionCompiler
 from repro.mechanisms import MECHANISM_NAMES
 from repro.monitor.monitor import SyscallIntegrityViolation
 from repro.monitor.policy import ContextPolicy
+from repro.sched import DEFAULT_QUANTUM
 
 
 @dataclass(frozen=True)
@@ -237,31 +232,27 @@ def run(
             is populated when the workload samples per-request latency
             (``quantum`` implies ``scheduled=True``).
         quantum: preemption quantum in cycles (default
-            ``repro.sched.DEFAULT_QUANTUM``).
+            ``repro.sched.DEFAULT_QUANTUM`` when ``scheduled``); below 1
+            the scheduler raises ``KernelError``.
     """
     defense = _resolve_config(config)
-    if quantum is not None:
-        scheduled = True
-    if scheduled:
-        bench = run_app_scheduled(
-            app,
-            config=defense,
-            scale=scale,
-            app_config=app_config,
-            workload=workload,
-            quantum=quantum,
-        )
-    else:
-        bench = run_app(
-            app, config=defense, scale=scale, app_config=app_config, workload=workload
-        )
+    if scheduled and quantum is None:
+        quantum = DEFAULT_QUANTUM
+    bench = run_app(
+        app,
+        config=defense,
+        scale=scale,
+        app_config=app_config,
+        workload=workload,
+        quantum=quantum,
+    )
 
     baseline = None
     overhead = None
     if (
         compare_baseline
         and workload is None
-        and not scheduled
+        and quantum is None
         and defense.name != "vanilla"
     ):
         key = (app, scale, app_config)

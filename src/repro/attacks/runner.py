@@ -30,7 +30,7 @@ from repro.apps.nginx import NginxConfig, build_nginx
 from repro.apps.workloads import SimpleServerWorkload, WrkWorkload
 from repro.attacks.catalog import CATALOG
 from repro.attacks.primitives import AttackEnv
-from repro.bench.harness import DefenseConfig
+from repro.bench.harness import DefenseConfig, _setup_nginx_env, drive
 from repro.kernel.kernel import Kernel
 from repro.monitor.policy import ContextPolicy
 
@@ -97,18 +97,12 @@ class AttackTarget:
             self.workload().attach(kernel, proc)
 
 
-def _bench_nginx_env(kernel):
-    from repro.bench.harness import _setup_nginx_env
-
-    _setup_nginx_env(kernel)
-
-
 TARGETS = {
     "nginx": AttackTarget(
         name="nginx",
         build=lambda: build_nginx(NginxConfig(workers=2, pools=4, guards=3)),
         workload=lambda: WrkWorkload(connections=2, requests_per_connection=3),
-        env_base=_bench_nginx_env,
+        env_base=_setup_nginx_env,
         env_dirs=("/etc",),
         env_files=(
             ("/etc/shadow", b"root:$6$secret\n", 0o600),
@@ -268,14 +262,7 @@ def run_attack(spec, policy=None, defense_name=None, defense=None, quantum=None)
 
     target.attach_workload(kernel, proc)
 
-    if quantum is None:
-        status = cpu.run()
-    else:
-        from repro.sched import Scheduler
-
-        sched = Scheduler(kernel, quantum=quantum)
-        sched.add(proc, cpu)
-        status = sched.run()[proc.pid]
+    status, _sched = drive(kernel, proc, cpu, quantum)
 
     outcome = AttackOutcome(
         attack=spec.name,

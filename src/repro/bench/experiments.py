@@ -9,14 +9,9 @@ from dataclasses import dataclass, field
 
 from repro.attacks.catalog import CATALOG
 from repro.attacks.runner import run_attack, table6_matrix
-from repro.bench.harness import (
-    CONFIGS,
-    FIGURE3_LADDER,
-    build_app,
-    run_app,
-    run_app_scheduled,
-)
+from repro.bench.harness import CONFIGS, FIGURE3_LADDER, build_app, run_app
 from repro.compiler.pipeline import BastionCompiler
+from repro.sched import DEFAULT_QUANTUM
 from repro.syscalls.sensitive import SENSITIVE_SYSCALLS
 
 APPS = ("nginx", "sqlite", "vsftpd")
@@ -124,11 +119,12 @@ def scheduler_sweep(scale=1.0, workers=SCHEDULER_WORKERS, configs=SCHEDULER_CONF
         sweep[count] = {}
         for config in configs:
             workload = ConcurrentWrkWorkload(connections=connections)
-            sweep[count][config] = run_app_scheduled(
+            sweep[count][config] = run_app(
                 "nginx",
                 config=config,
                 app_config=NginxConfig(workers=count, master_serves=False),
                 workload=workload,
+                quantum=DEFAULT_QUANTUM,
             )
     return sweep
 

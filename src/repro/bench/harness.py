@@ -24,6 +24,7 @@ from repro.apps.workloads import Dbt2Workload, DkftpbenchWorkload, WrkWorkload
 from repro.kernel.kernel import Kernel
 from repro.mechanisms import MECHANISMS, StaticMechanism
 from repro.monitor.policy import ContextPolicy
+from repro.sched import Scheduler
 from repro.vm.cpu import CPUOptions
 
 #: simulated clock used to convert cycles into seconds for display
@@ -291,23 +292,6 @@ def build_app(app, app_config=None):
     return _module_cache[key]
 
 
-def _prepare(app, defense, app_config):
-    """Shared launch plumbing: kernel + env + mechanism + root proc/cpu.
-
-    Defense-agnostic by construction: every config — BASTION and all the
-    baselines — launches through its :class:`ProtectionMechanism`.
-    """
-    entry = _APPS[app]
-    module = build_app(app, app_config)
-
-    kernel = Kernel()
-    entry["env"](kernel)
-
-    mechanism = defense.mechanism()
-    proc, cpu = mechanism.launch(kernel, app, module)
-    return entry, kernel, mechanism.monitor, proc, cpu
-
-
 def _attach_monitor_stats(result, monitor, proc):
     stats = monitor.stats
     result.hook_counts = dict(stats.hook_counts)
@@ -321,8 +305,30 @@ def _attach_monitor_stats(result, monitor, proc):
     result.monitor_stats["seccomp_cache_misses"] = proc.seccomp_cache_misses
 
 
-def run_app(app, config="vanilla", scale=1.0, app_config=None, workload=None):
+def drive(kernel, proc, cpu, quantum=None):
+    """Run a launched root process to completion.
+
+    ``quantum=None`` runs the root CPU alone: clone()d children keep their
+    PCB and never run (DESIGN.md §6).  A quantum enqueues the root on a
+    preemptive :class:`repro.sched.Scheduler`, where children run
+    interleaved with it and blocking syscalls park their task.
+
+    Returns ``(status, scheduler or None)``.
+    """
+    if quantum is None:
+        return cpu.run(), None
+    sched = Scheduler(kernel, quantum=quantum)
+    sched.add(proc, cpu)
+    return sched.run()[proc.pid], sched
+
+
+def run_app(
+    app, config="vanilla", scale=1.0, app_config=None, workload=None, quantum=None
+):
     """Run one (application, defense configuration) pair to completion.
+
+    Every config — BASTION and all the baselines — launches through its
+    :class:`ProtectionMechanism`, then :func:`drive` runs it.
 
     Args:
         app: 'nginx' | 'sqlite' | 'vsftpd'.
@@ -331,72 +337,34 @@ def run_app(app, config="vanilla", scale=1.0, app_config=None, workload=None):
         app_config: application build-time configuration override.
         workload: custom workload object (default: the app's stock
             workload at ``scale``).
+        quantum: ``None`` runs the root CPU alone; a cycle quantum (e.g.
+            ``repro.sched.DEFAULT_QUANTUM``) runs the preemptive scheduler,
+            and cycle totals follow its global clock.  Use a concurrent
+            workload (e.g. ``ConcurrentWrkWorkload``) plus a
+            ``master_serves=False`` app config to exercise a worker pool.
 
     Returns:
-        :class:`RunResult`
+        :class:`RunResult`.  Syscall counts and ledger breakdowns sum over
+        the process tree; ``latency`` (when the workload samples it),
+        ``sched_stats`` and per-pid ``statuses`` are filled only under a
+        scheduler.
     """
     defense = CONFIGS[config] if isinstance(config, str) else config
-    entry, kernel, monitor, proc, cpu = _prepare(app, defense, app_config)
+    entry = _APPS[app]
+    # build before booting: built the other way round, the benchmark's
+    # nginx-blocking peak RSS grows by 0.4-0.9 MB
+    module = build_app(app, app_config)
+    kernel = Kernel()
+    entry["env"](kernel)
+    mechanism = defense.mechanism()
+    proc, cpu = mechanism.launch(kernel, app, module)
 
     wl = workload or entry["workload"](scale)
     wl.attach(kernel, proc)
 
-    status = cpu.run()
+    status, sched = drive(kernel, proc, cpu, quantum)
 
-    steady_start = wl.steady_start_cycles or 0
-    result = RunResult(
-        app=app,
-        config=defense.name,
-        status=status,
-        total_cycles=proc.ledger.cycles,
-        steady_cycles=proc.ledger.cycles - steady_start,
-        init_cycles=steady_start,
-        work_units=entry["work_units"](wl),
-        bytes_sent=kernel.net.bytes_sent,
-        syscall_counts=dict(proc.syscall_counts),
-        ledger_breakdown=dict(proc.ledger.by_category),
-        stage_cycles=kernel.telemetry.stage_cycles(),
-    )
-    if monitor is not None:
-        _attach_monitor_stats(result, monitor, proc)
-    return result
-
-
-def run_app_scheduled(
-    app,
-    config="vanilla",
-    scale=1.0,
-    app_config=None,
-    workload=None,
-    quantum=None,
-):
-    """Run one (app, defense) pair under the preemptive scheduler.
-
-    The root process is enqueued on a :class:`repro.sched.Scheduler`;
-    clone()d children run interleaved with it, blocking syscalls park
-    their task, and time is the scheduler's global cycle clock.  Use a
-    concurrent workload (e.g. ``ConcurrentWrkWorkload``) plus a
-    ``master_serves=False`` app config to exercise a real worker pool.
-
-    Returns a :class:`RunResult` whose ``latency`` (when the workload
-    samples it), ``sched_stats``, and per-pid ``statuses`` are filled in;
-    cycle totals are global-clock based and syscall counts / ledger
-    breakdowns aggregate over the whole process tree.
-    """
-    from repro.sched import DEFAULT_QUANTUM, Scheduler
-
-    defense = CONFIGS[config] if isinstance(config, str) else config
-    entry, kernel, monitor, proc, cpu = _prepare(app, defense, app_config)
-
-    wl = workload or entry["workload"](scale)
-    wl.attach(kernel, proc)
-
-    sched = Scheduler(kernel, quantum=quantum or DEFAULT_QUANTUM)
-    sched.add(proc, cpu)
-    statuses = sched.run()
-    status = statuses[proc.pid]
-
-    total = sched.now()
+    total = proc.ledger.cycles if sched is None else sched.now()
     steady_start = wl.steady_start_cycles or 0
     syscall_counts = {}
     breakdown = {}
@@ -416,12 +384,13 @@ def run_app_scheduled(
         bytes_sent=kernel.net.bytes_sent,
         syscall_counts=syscall_counts,
         ledger_breakdown=breakdown,
-        sched_stats=sched.stats.as_dict(),
-        statuses={pid: st.kind for pid, st in statuses.items()},
         stage_cycles=kernel.telemetry.stage_cycles(),
     )
-    if getattr(wl, "latency", None) is not None:
-        result.latency = wl.latency.summary()
-    if monitor is not None:
-        _attach_monitor_stats(result, monitor, proc)
+    if sched is not None:
+        result.sched_stats = sched.stats.as_dict()
+        result.statuses = {pid: st.kind for pid, st in sched.statuses.items()}
+        if getattr(wl, "latency", None) is not None:
+            result.latency = wl.latency.summary()
+    if mechanism.monitor is not None:
+        _attach_monitor_stats(result, mechanism.monitor, proc)
     return result

@@ -367,146 +367,6 @@ def render_scheduler(scale=1.0):
     return "\n".join(lines)
 
 
-def analysis_data(apps=APPS):
-    """Static-analyzer reports for the bench apps: ``{app: AnalysisReport}``."""
-    from repro.analyze import analyze_app
-
-    return {app: analyze_app(app) for app in apps}
-
-
-def analysis_json(apps=APPS):
-    """JSON-ready analyzer summary: per-pass finding counts + precision.
-
-    This is the payload ``python -m repro.bench analysis --json`` prints and
-    what dashboards should consume; the full per-diagnostic detail lives in
-    ``python -m repro.analyze --format json``.
-    """
-    payload = {}
-    for app, report in analysis_data(apps).items():
-        flow = report.metrics.get("flow", {})
-        payload[app] = {
-            "program": report.program,
-            "ok": report.ok,
-            "clean": report.clean,
-            "findings_by_pass": report.counts_by_pass(),
-            "waived": len(report.waived),
-            "precision": {
-                "sensitive_sites": flow.get("sensitive_sites", 0),
-                "chains": flow.get("chains", 0),
-                "attack_surface": flow.get("attack_surface", 0),
-            },
-            "per_syscall_chains": {
-                name: row["chains"]
-                for name, row in flow.get("per_syscall", {}).items()
-            },
-        }
-    return payload
-
-
-def binary_precision_data(apps=APPS):
-    """Binary-recovery precision payload for the bench apps (per-app
-    ``{app: metrics}``, the ``repro.analyze.binary`` report shape)."""
-    from repro.analyze.binary import binary_report
-
-    return {app: binary_report(app)[1] for app in apps}
-
-
-def render_binary_precision():
-    """Recovered-vs-metadata precision for the bench apps."""
-    data = binary_precision_data()
-    lines = [
-        "Binary-level recovery vs compiler metadata (precision per app)",
-        _rule(86),
-        "%-10s %7s %7s %8s %8s %7s %8s %9s %9s"
-        % (
-            "app",
-            "funcs",
-            "reach",
-            "present",
-            "allowed",
-            "tight",
-            "ctypes",
-            "ct-tight",
-            "chains",
-        ),
-        _rule(86),
-    ]
-    for app, metrics in data.items():
-        funcs = metrics["functions"]
-        syscalls = metrics["syscalls"]
-        types = metrics["call_types"]
-        flow = metrics["flow"]
-        lines.append(
-            "%-10s %7d %7d %8d %8d %7d %8d %9d %9d"
-            % (
-                app,
-                funcs["recovered"],
-                funcs["reachable"],
-                syscalls["present"],
-                len(syscalls["reachable"]),
-                len(syscalls["tightened"]),
-                len(types["recovered"]),
-                sum(len(kinds) for kinds in types["tightened"].values()),
-                flow["binary"]["chains"],
-            )
-        )
-    lines.append(_rule(86))
-    lines.append(
-        "allowed = recovered-reachable syscalls (the binary_only filter); "
-        "tight = present-but-dead syscalls dropped"
-    )
-    return "\n".join(lines)
-
-
-def render_analysis():
-    """Static-analysis soundness + precision columns for the bench apps."""
-    data = analysis_data()
-    lines = [
-        "Static analysis: soundness findings and syscall-flow precision",
-        _rule(86),
-        "%-10s %6s %6s %6s %6s %7s %8s %8s %9s %8s"
-        % (
-            "app",
-            "compl",
-            "ctype",
-            "flow",
-            "consis",
-            "waived",
-            "sites",
-            "chains",
-            "surface",
-            "verdict",
-        ),
-        _rule(86),
-    ]
-    for app in data:
-        report = data[app]
-        counts = report.counts_by_pass()
-        flow = report.metrics.get("flow", {})
-        verdict = "clean" if report.clean else ("ok" if report.ok else "FAIL")
-        lines.append(
-            "%-10s %6d %6d %6d %6d %7d %8d %8d %9d %8s"
-            % (
-                app,
-                counts["completeness"],
-                counts["call-type"],
-                counts["flow"],
-                counts["consistency"],
-                len(report.waived),
-                flow.get("sensitive_sites", 0),
-                flow.get("chains", 0),
-                flow.get("attack_surface", 0),
-                verdict,
-            )
-        )
-    lines.append(_rule(86))
-    lines.append(
-        "surface = sum over sensitive sites of legitimate chains x verified "
-        "argument positions\n(smaller = tighter contexts; see docs/analyze.md)"
-    )
-    return "\n".join(lines)
-
-
 #: stages-table display order: pipeline order, with the monitor's verify.*
 #: drill-down (charged inside its trace stop) indented beneath it
 _STAGE_DISPLAY = (
@@ -582,87 +442,8 @@ def render_stages(scale=1.0):
     return "\n".join(lines)
 
 
-def fuzz_data(corpus_path=None):
-    """The fuzz subsystem's bench payload: divergence counts by mechanism
-    pair from the pinned corpus, plus the live fault-detection matrix."""
-    from repro.fuzz.engine import load_corpus
-    from repro.fuzz.faults import run_fault_campaign
-
-    corpus = load_corpus(corpus_path)
-    pair_counts = {}
-    for entry in corpus["divergences"]:
-        for allowing, killing in entry["pairs"]:
-            key = "%s>%s" % (allowing, killing)
-            pair_counts[key] = pair_counts.get(key, 0) + 1
-    return {
-        "corpus": {
-            "seed": corpus["seed"],
-            "budget": corpus["budget"],
-            "executed": corpus["executed"],
-            "coverage_tokens": corpus["coverage_tokens"],
-            "kept": len(corpus["kept"]),
-            "divergences": len(corpus["divergences"]),
-        },
-        "divergence_pairs": pair_counts,
-        "faults": run_fault_campaign(),
-    }
-
-
-def render_fuzz():
-    """ISSUE 9: the differential fuzzing + fault-injection summary."""
-    data = fuzz_data()
-    corpus = data["corpus"]
-    lines = [
-        "Coverage-guided differential fuzzing (pinned corpus, seed=%d)"
-        % corpus["seed"],
-        _rule(),
-        "budget=%d executed=%d coverage_tokens=%d kept=%d divergences=%d"
-        % (
-            corpus["budget"],
-            corpus["executed"],
-            corpus["coverage_tokens"],
-            corpus["kept"],
-            corpus["divergences"],
-        ),
-        "",
-        "Divergences by mechanism pair (allowing > killing):",
-    ]
-    for pair, count in sorted(
-        data["divergence_pairs"].items(), key=lambda kv: (-kv[1], kv[0])
-    ):
-        lines.append("  %-36s %3d" % (pair, count))
-    faults = data["faults"]
-    mechanisms = faults["matrix"]
-    width = max(len(m) for m in mechanisms) + 2
-    lines += [
-        "",
-        "Dispatch-time fault detection (site@stage x mechanism):",
-        _rule(),
-        "%-28s" % "fault" + "".join("%-*s" % (width, m) for m in mechanisms),
-        _rule(),
-    ]
-    for label in sorted(faults["cells"]):
-        row = faults["cells"][label]
-        lines.append(
-            "%-28s" % label
-            + "".join("%-*s" % (width, row[m]["class"]) for m in mechanisms)
-        )
-    lines += [
-        _rule(),
-        "caught = mechanism killed the process; crashed = the fault itself",
-        "faulted the VM; missed = run completed but observably diverged from",
-        "the clean reference; masked = bit-identical to the reference;",
-        "not-reached = the injector had nothing to corrupt (no filter).",
-        "Register-only argument flips are missed by every mechanism: the",
-        "monitor verifies memory-resident shadow variables, not registers —",
-        "the gap SFP-style hardware protection targets.",
-    ]
-    return "\n".join(lines)
-
-
 RENDERERS = {
     "figure3": render_figure3,
-    "fuzz": render_fuzz,
     "table3": render_table3,
     "table4": render_table4,
     "table5": render_table5,
@@ -672,8 +453,6 @@ RENDERERS = {
     "ablation_cache": render_ablation_cache,
     "ablation_dfi": render_ablation_dfi,
     "adaptive": render_adaptive,
-    "analysis": render_analysis,
-    "binary": render_binary_precision,
     "scheduler": render_scheduler,
     "stages": render_stages,
 }

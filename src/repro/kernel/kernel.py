@@ -30,12 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import ProcessKilled, WouldBlock
-from repro.kernel.dispatch import (
-    DispatchPipeline,
-    SyscallContext,
-    cycle_free,
-    trace_only,
-)
+from repro.kernel.dispatch import DispatchPipeline, SyscallContext, trace_only
 from repro.kernel import errno
 from repro.kernel.mm import (
     PROT_EXEC,
@@ -74,7 +69,9 @@ from repro.kernel.vfs import (
     O_TRUNC,
     OpenFile,
     S_IFDIR,
+    S_IFIFO,
     S_IFREG,
+    S_IFSOCK,
 )
 from repro.syscalls.table import SYSCALLS, nr_of
 from repro.telemetry import TelemetryBus
@@ -393,22 +390,20 @@ class Kernel:
 
     def _build_pipeline(self):
         pipeline = DispatchPipeline(self.telemetry)
-        pipeline.install("block", self._stage_block)
-        pipeline.install("count", self._stage_count)
-        pipeline.install("seccomp", self._stage_seccomp)
-        pipeline.install("trace_stop", self._stage_trace_stop)
-        pipeline.install("verify", self._stage_verify)
-        pipeline.install("execute", self._stage_execute)
-        pipeline.install("account", self._stage_account)
+        pipeline.insert("block", self._stage_block)
+        pipeline.insert("count", self._stage_count)
+        pipeline.insert("seccomp", self._stage_seccomp)
+        pipeline.insert("trace_stop", self._stage_trace_stop)
+        pipeline.insert("verify", self._stage_verify)
+        pipeline.insert("execute", self._stage_execute)
+        pipeline.insert("account", self._stage_account)
         return pipeline
 
-    @cycle_free
     def _stage_block(self, ctx):
         """Under a scheduler, park a syscall that cannot complete yet."""
         if self.scheduler is not None and not self.scheduler.draining:
             self._maybe_block(ctx.proc, ctx.name, ctx.args)
 
-    @cycle_free
     def _stage_count(self, ctx):
         ctx.proc.count_syscall(ctx.name)
         counters = self.telemetry.counters
@@ -639,6 +634,8 @@ class Kernel:
             self._copy_bytes_to_user(proc, buf, chunk)
             self._charge_io(proc, len(chunk))
             return len(chunk)
+        if isinstance(desc, Epoll):
+            return -errno.EINVAL
         chunk = desc.read(count)
         if chunk is None:
             return -errno.EISDIR
@@ -663,6 +660,8 @@ class Kernel:
         prefix = self._read_bytes_from_user(proc, buf, count)
         if isinstance(desc, Socket) and desc.connection is None:
             return -errno.ENOTSOCK
+        if isinstance(desc, Epoll):
+            return -errno.EINVAL
         if count < 0:
             return -errno.EFAULT
         if isinstance(desc, Socket):
@@ -732,8 +731,10 @@ class Kernel:
         desc = proc.fdtable.get(fd)
         if desc is None:
             return -errno.EBADF
-        if isinstance(desc, Socket):
-            proc.memory.write_block(statbuf, (0o140000, 0))
+        if not isinstance(desc, OpenFile):
+            # no VFS node: type bits only (epoll's anonymous inode has none)
+            kind_bits = {Socket: S_IFSOCK, _PipeEnd: S_IFIFO}.get(type(desc), 0)
+            proc.memory.write_block(statbuf, (kind_bits, 0))
             return 0
         return self._write_stat(proc, statbuf, desc.node)
 
@@ -742,6 +743,8 @@ class Kernel:
         desc = proc.fdtable.get(fd)
         if desc is None or isinstance(desc, Socket):
             return -errno.EBADF
+        if isinstance(desc, (_PipeEnd, Epoll)):
+            return -errno.ESPIPE
         return desc.seek(offset, whence)
 
     def _sys_pread(self, proc, args):
@@ -749,6 +752,8 @@ class Kernel:
         desc = proc.fdtable.get(fd)
         if desc is None or isinstance(desc, Socket):
             return -errno.EBADF
+        if isinstance(desc, (_PipeEnd, Epoll)):
+            return -errno.ESPIPE
         saved = desc.pos
         desc.pos = offset
         chunk = desc.read(count)
@@ -764,6 +769,8 @@ class Kernel:
         desc = proc.fdtable.get(fd)
         if desc is None or isinstance(desc, Socket):
             return -errno.EBADF
+        if isinstance(desc, (_PipeEnd, Epoll)):
+            return -errno.ESPIPE
         if count < 0:
             return -errno.EFAULT  # as in _sys_write
         prefix = self._read_bytes_from_user(proc, buf, count)
@@ -831,7 +838,11 @@ class Kernel:
         dst = proc.fdtable.get(out_fd)
         if src is None or dst is None:
             return -errno.EBADF
-        if isinstance(src, Socket) or src.node.kind != "file":
+        if (
+            not isinstance(src, OpenFile)
+            or src.node.kind != "file"
+            or isinstance(dst, Epoll)
+        ):
             return -errno.EINVAL
         chunk = src.read(count)
         nbytes = len(chunk)
@@ -857,7 +868,7 @@ class Kernel:
         """
         fd, dirp, count = (self._arg(args, i) for i in range(3))
         desc = proc.fdtable.get(fd)
-        if desc is None or isinstance(desc, (Socket, _PipeEnd)):
+        if desc is None or not isinstance(desc, OpenFile):
             return -errno.EBADF
         if desc.node.kind != "dir":
             return -errno.ENOTDIR

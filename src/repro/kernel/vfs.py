@@ -16,6 +16,8 @@ from repro.kernel import errno
 #: st_mode type bits (subset)
 S_IFREG = 0o100000
 S_IFDIR = 0o040000
+S_IFIFO = 0o010000
+S_IFSOCK = 0o140000
 
 #: open(2) flags (subset)
 O_RDONLY = 0

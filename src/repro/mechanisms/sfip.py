@@ -15,8 +15,8 @@ precision contrast, not the enforced artifact) and install two things:
 - the policy's **presence filter** at the seccomp stage (it KILLs the
   table syscalls outside the policy and ALLOWs the rest: ROADMAP item 1)
   (the filtering half — dead-surface syscalls never reach the hook);
-- a **transition check** hook inserted at the ``seccomp`` stage (after
-  the kernel's own filter evaluation, fused-head preserved): look up the
+- a **transition check** hook inserted at the ``seccomp`` stage (it
+  runs after the kernel's own filter evaluation): look up the
   process's last-observed syscall, kill unless ``last -> current`` is in
   the graph.  ``sfip_origin`` additionally requires the *origin* — the
   function containing the trapped syscall instruction

@@ -7,7 +7,7 @@ import pytest
 
 from repro.attacks.catalog import attack_by_name
 from repro.attacks.runner import TARGETS, _target_module, run_attack
-from repro.bench.harness import CONFIGS, run_app, run_app_scheduled
+from repro.bench.harness import CONFIGS, run_app
 from repro.kernel.kernel import Kernel
 from repro.monitor.policy import ContextPolicy
 
@@ -89,7 +89,7 @@ class TestSchedulerCorrectness:
         from repro.apps.nginx import NginxConfig
         from repro.apps.workloads import ConcurrentWrkWorkload
 
-        result = run_app_scheduled(
+        result = run_app(
             "nginx",
             config=variant,
             app_config=NginxConfig(workers=2, master_serves=False),

@@ -34,8 +34,10 @@ class TestBenchCli:
         assert "CET+CT+CF+AI" in out
 
     def test_bad_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            bench_main(["not_a_table"])
+        for argv in (["not_a_table"], ["--ablate", "cache"], ["binary"], ["fuzz"]):
+            with pytest.raises(SystemExit) as exc:
+                bench_main(argv)
+            assert exc.value.code == 2, argv
 
 
 class TestCompilerCli:
@@ -83,16 +85,45 @@ class TestCompilerCli:
 
 
 class TestAnalysisExperiment:
+    """The analyzer's report lives in ``python -m repro.analyze`` only."""
+
     def test_analysis_text(self, capsys):
-        assert bench_main(["analysis"]) == 0
+        from repro.analyze.__main__ import main as analyze_main
+
+        with pytest.raises(SystemExit) as exc:
+            bench_main(["analysis"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert analyze_main(["nginx", "sqlite", "vsftpd"]) == 0
         out = capsys.readouterr().out
-        assert "syscall-flow precision" in out
+        for app in ("nginx", "sqlite", "vsftpd"):
+            section = out.split("repro.analyze: %s" % app)[1].split("repro.analyze:")[0]
+            assert "  precision: " in section
+            assert "  verdict: clean" in section
 
     def test_analysis_json(self, capsys):
-        assert bench_main(["analysis", "--json"]) == 0
+        """``--format json`` carries every field ``bench analysis --json``
+        printed: the verdicts, per-pass counts, waivers and flow metrics."""
+        from repro.analyze.__main__ import main as analyze_main
+
+        assert analyze_main(["nginx", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"nginx", "sqlite", "vsftpd"}
-        assert payload["nginx"]["clean"] is True
+        assert set(payload) == {"nginx"}
+        row = payload["nginx"]
+        assert row["clean"] is True and row["ok"] is True
+        assert set(row["counts_by_pass"]) == {
+            "completeness",
+            "call-type",
+            "flow",
+            "consistency",
+        }
+        assert len(row["waived"]) == 2
+        flow = row["metrics"]["flow"]
+        assert flow["sensitive_sites"] == 14
+        assert flow["chains"] == 18
+        assert flow["attack_surface"] == 59
+        assert flow["per_syscall"]
+        assert all("chains" in r for r in flow["per_syscall"].values())
 
     def test_json_rejected_for_other_experiments(self):
         with pytest.raises(SystemExit):

@@ -102,9 +102,6 @@ def test_all_renderers_registered():
         "ablation_cache",
         "ablation_dfi",
         "adaptive",
-        "analysis",
-        "binary",
-        "fuzz",
         "scheduler",
         "stages",
     }
@@ -120,32 +117,51 @@ def test_render_scheduler():
     assert "full BASTION" in text
 
 
-def test_render_analysis_columns():
-    from repro.bench.report import render_analysis
+def test_render_analysis_columns(capsys):
+    """The binary-precision table lives in ``python -m repro.analyze
+    binary``; ``repro.bench`` keeps only the paper's experiments."""
+    from repro.analyze.__main__ import main as analyze_main
+    from repro.analyze.binary import binary_report
 
-    text = render_analysis()
-    assert "syscall-flow precision" in text
-    for column in ("compl", "ctype", "flow", "consis", "chains", "surface"):
-        assert column in text
-    for app in ("nginx", "sqlite", "vsftpd"):
-        assert app in text
-    # shipped apps must lint clean in the bench report too
-    assert "FAIL" not in text
+    assert not {"analysis", "binary", "fuzz"} & set(RENDERERS)
+    assert analyze_main(["binary", "nginx"]) == 0
+    out = capsys.readouterr().out
+    metrics = binary_report("nginx")[1]
+    funcs, syscalls = metrics["functions"], metrics["syscalls"]
+    types = metrics["call_types"]
+    assert "%d recovered (%d reachable," % (
+        funcs["recovered"], funcs["reachable"]) in out
+    assert "syscalls: %d present, %d reachable (%d tightened away)" % (
+        syscalls["present"],
+        len(syscalls["reachable"]),
+        len(syscalls["tightened"]),
+    ) in out
+    assert "call types: %d recovered" % len(types["recovered"]) in out
+    assert "%d kinds tightened" % sum(
+        len(kinds) for kinds in types["tightened"].values()) in out
+    assert "/ %d chains (binary)" % metrics["flow"]["binary"]["chains"] in out
+    # the nginx row the removed bench table printed
+    assert "89 recovered (47 reachable," in out
+    assert "55 present, 20 reachable (35 tightened away)" in out
+    assert "20 recovered, 22 in metadata, 2 kinds tightened" in out
+    assert "12 sensitive sites / 17 chains (binary)" in out
 
 
 def test_analysis_json_shape():
-    from repro.bench.report import analysis_json
+    """The invariants of the removed ``bench analysis --json`` payload,
+    checked on the analyzer's own per-app report."""
+    from repro.analyze import analyze_app
 
-    payload = analysis_json()
-    assert set(payload) == {"nginx", "sqlite", "vsftpd"}
-    for app, row in payload.items():
+    for app in ("nginx", "sqlite", "vsftpd"):
+        row = analyze_app(app).to_dict()
         assert row["ok"] is True
-        assert set(row["findings_by_pass"]) == {
+        assert set(row["counts_by_pass"]) == {
             "completeness",
             "call-type",
             "flow",
             "consistency",
         }
-        assert row["precision"]["sensitive_sites"] > 0
-        assert row["precision"]["attack_surface"] >= row["precision"]["chains"]
-        assert row["per_syscall_chains"]
+        flow = row["metrics"]["flow"]
+        assert flow["sensitive_sites"] > 0
+        assert flow["attack_surface"] >= flow["chains"]
+        assert flow["per_syscall"]

@@ -1,86 +1,169 @@
-"""The fused block→count→seccomp fast path (wall-clock-only by contract).
+"""The one dispatch walk: stage order, attribution and skip rules.
 
-The pipeline may collapse its canonical head into one call exactly when no
-mechanism hook sits between the three stages and the non-final handlers
-are marked ``cycle_free``.  These tests pin the contract: fusion state
-tracks hook placement, ``StageOrderError`` semantics survive, and — the
-load-bearing part — per-stage cycle attribution, verdicts, and counters
-are identical to the unfused reference walk.
+The kernel inserts its seven handlers in ``STAGE_ORDER`` and mechanisms
+insert hooks at their stage; every dispatch then walks the list once.
+These tests pin the walk's contract: a hook runs after every handler
+already inserted at its stage, each stage's ledger delta lands on
+``stage.cycles.<stage>`` (also when the stage raises), ``ctx.done`` skips
+everything but ``account``, and a ``trace_only`` handler runs only on
+traced dispatches.  The attribution tests pin the values the walk
+produced before its fused ``block→count→seccomp`` head was removed.
 """
 
 import pytest
 
-from repro.errors import ProcessKilled
+from repro.errors import KernelError, ProcessKilled
 from repro.kernel.dispatch import (
     STAGE_ORDER,
     DispatchPipeline,
-    StageOrderError,
-    cycle_free,
+    SyscallContext,
+    trace_only,
 )
 from repro.kernel.kernel import Kernel
 from repro.telemetry.bus import TelemetryBus
 
 
+class _TracingKernel(Kernel):
+    """A kernel whose block/count/seccomp handlers log that they ran."""
+
+    def __init__(self, trace):
+        self.trace = trace
+        super().__init__()
+
+    def _stage_block(self, ctx):
+        self.trace.append("kernel:block")
+        super()._stage_block(ctx)
+
+    def _stage_count(self, ctx):
+        self.trace.append("kernel:count")
+        super()._stage_count(ctx)
+
+    def _stage_seccomp(self, ctx):
+        self.trace.append("kernel:seccomp")
+        super()._stage_seccomp(ctx)
+
+
 class TestFusionState:
     def test_fresh_kernel_pipeline_is_fused(self):
-        kernel = Kernel()
-        assert kernel.pipeline.fused
+        """A fresh kernel holds its seven handlers in stage order, and the
+        pipeline has one way to add a handler and one way to run."""
+        pipeline = Kernel().pipeline
+        assert pipeline.stage_names() == STAGE_ORDER
+        for gone in ("fused", "set_fusion", "install", "remove"):
+            assert not hasattr(pipeline, gone)
 
     def test_hook_between_fused_stages_defuses(self):
-        """A hook at block or count lands inside the would-be-fused head,
-        so the pipeline must fall back to the reference walk."""
-        for stage in ("block", "count"):
-            kernel = Kernel()
-            hook = lambda ctx: None  # noqa: E731 - identity matters below
-            kernel.pipeline.insert(stage, hook)
-            assert not kernel.pipeline.fused
-            kernel.pipeline.remove(hook)
-            assert kernel.pipeline.fused
+        """Hooks at block and count each run once per dispatch, right after
+        their stage's kernel handler."""
+        trace = []
+        kernel = _TracingKernel(trace)
+        kernel.pipeline.insert("block", lambda ctx: trace.append("hook:block"))
+        kernel.pipeline.insert("count", lambda ctx: trace.append("hook:count"))
+        proc = kernel.create_process("app", image=None)
+        for _ in range(2):
+            kernel.dispatch(proc, "getpid", ())
+        assert trace == [
+            "kernel:block",
+            "hook:block",
+            "kernel:count",
+            "hook:count",
+            "kernel:seccomp",
+        ] * 2
 
     def test_hook_after_fused_region_keeps_fusion(self):
-        """A seccomp hook runs *after* the canonical seccomp handler, i.e.
-        after the fused region — it gets its own plan entry and its own
-        cycle attribution, so fusion survives."""
-        kernel = Kernel()
-        kernel.pipeline.insert("seccomp", lambda ctx: None)
-        assert kernel.pipeline.fused
+        """A seccomp hook runs after the kernel's seccomp handler, and its
+        cycles land on ``stage.cycles.seccomp``."""
+        trace = []
+        kernel = _TracingKernel(trace)
+
+        def hook(ctx):
+            trace.append("hook:seccomp")
+            ctx.proc.ledger.charge(7, "test")
+
+        kernel.pipeline.insert("seccomp", hook)
+        proc = kernel.create_process("app", image=None)
+        for _ in range(3):
+            kernel.dispatch(proc, "getpid", ())
+        assert trace == ["kernel:block", "kernel:count", "kernel:seccomp",
+                         "hook:seccomp"] * 3
+        assert kernel.telemetry.stage_cycles() == {"seccomp": 21}
 
     def test_set_fusion_false_forces_reference_walk(self):
-        kernel = Kernel()
-        kernel.pipeline.set_fusion(False)
-        assert not kernel.pipeline.fused
-        kernel.pipeline.set_fusion(True)
-        assert kernel.pipeline.fused
+        """The walk over test handlers, one per stage, each charging a
+        distinct cycle count: every count lands on its own stage,
+        ``ctx.done`` skips all but account, and the ``trace_only`` handler
+        is skipped on an untraced dispatch."""
+        cycles = {stage: 2**rank for rank, stage in enumerate(STAGE_ORDER)}
+        ran = []
+
+        def handler(stage):
+            def fn(ctx):
+                ran.append(stage)
+                ctx.proc.ledger.charge(cycles[stage], "test")
+                if stage == "seccomp":
+                    ctx.trace = ctx.name == "traced"
+                    if ctx.name == "errno":
+                        ctx.short_circuit(-1, "errno")
+
+            return trace_only(fn) if stage == "trace_stop" else fn
+
+        proc = Kernel().create_process("app", image=None)
+
+        def walk(name):
+            bus = TelemetryBus()
+            pipeline = DispatchPipeline(bus)
+            for stage in STAGE_ORDER:
+                pipeline.insert(stage, handler(stage))
+            del ran[:]
+            pipeline.run(SyscallContext(proc, name, ()))
+            return tuple(ran), bus.stage_cycles()
+
+        def expected(*stages):
+            return stages, {stage: cycles[stage] for stage in stages}
+
+        assert walk("traced") == expected(*STAGE_ORDER)
+        untraced = tuple(s for s in STAGE_ORDER if s != "trace_stop")
+        assert walk("untraced") == expected(*untraced)
+        assert walk("errno") == expected("block", "count", "seccomp", "account")
 
     def test_stage_names_report_canonical_order_while_fused(self):
-        kernel = Kernel()
-        assert kernel.pipeline.fused
-        assert tuple(kernel.pipeline.stage_names()) == STAGE_ORDER
+        """``stage_names()`` stays in rank order after the temporal and
+        sfip mechanisms insert their hooks (at count and at seccomp)."""
+        from repro.bench.harness import CONFIGS, build_app
+
+        module = build_app("nginx")
+        for name, stage in (("temporal", "count"), ("sfip", "seccomp")):
+            kernel = Kernel()
+            CONFIGS[name].mechanism().launch(kernel, "nginx", module)
+            names = kernel.pipeline.stage_names()
+            assert names.count(stage) == 2, name
+            assert set(names) == set(STAGE_ORDER)
+            assert names == tuple(sorted(names, key=STAGE_ORDER.index))
 
     def test_stage_order_error_still_raised_while_fused(self):
-        """Fusion is a run-plan detail; the strict install builder keeps
-        rejecting out-of-order stages."""
-        pipeline = DispatchPipeline(TelemetryBus())
-        pipeline.install("block", cycle_free(lambda ctx: None))
-        pipeline.install("count", cycle_free(lambda ctx: None))
-        pipeline.install("seccomp", lambda ctx: None)
-        pipeline.install("verify", lambda ctx: None)
-        with pytest.raises(StageOrderError):
-            pipeline.install("seccomp", lambda ctx: None)
+        """An unknown stage raises ``KernelError`` and inserts nothing."""
+        kernel = Kernel()
+        with pytest.raises(KernelError, match="unknown stage 'fused'"):
+            kernel.pipeline.insert("fused", lambda ctx: None)
+        assert kernel.pipeline.stage_names() == STAGE_ORDER
 
     def test_unmarked_head_handlers_do_not_fuse(self):
-        """Fusing is only sound when block/count provably charge nothing;
-        handlers without the cycle_free mark must not fuse."""
-        pipeline = DispatchPipeline(TelemetryBus())
-        pipeline.install("block", lambda ctx: None)
-        pipeline.install("count", lambda ctx: None)
-        pipeline.install("seccomp", lambda ctx: None)
-        assert not pipeline.fused
+        """Cycles charged at block or count are attributed to that stage,
+        not to seccomp."""
+        kernel = Kernel()
+        kernel.pipeline.insert("block", lambda ctx: ctx.proc.ledger.charge(3, "t"))
+        kernel.pipeline.insert("count", lambda ctx: ctx.proc.ledger.charge(5, "t"))
+        proc = kernel.create_process("app", image=None)
+        kernel.dispatch(proc, "getpid", ())
+        kernel.dispatch(proc, "getpid", ())
+        assert kernel.telemetry.stage_cycles() == {"block": 6, "count": 10}
 
 
-def _run_syscalls(kernel):
+def _run_syscalls(kernel, seccomp_filter=None):
     """Dispatch a fixed syscall mix through a kernel; returns its proc."""
     proc = kernel.create_process("app", image=None)
+    if seccomp_filter is not None:
+        kernel.install_seccomp(proc, seccomp_filter)
     kernel.dispatch(proc, "getpid", ())
     fd = kernel.dispatch(proc, "socket", (2, 1, 0))
     kernel.dispatch(proc, "close", (fd,))
@@ -89,85 +172,81 @@ def _run_syscalls(kernel):
     return proc
 
 
+def _dispatch_counters(kernel):
+    return {
+        k: v
+        for k, v in kernel.telemetry.counters.items()
+        if k == "dispatch.syscalls" or k.startswith("dispatch.verdict.")
+    }
+
+
+def _action_filter(syscall, action):
+    from repro.kernel.seccomp import build_action_filter
+    from repro.syscalls.table import nr_of
+
+    return build_action_filter({nr_of(syscall): action})
+
+
 class TestFusedAttributionParity:
     def test_stage_cycles_identical_to_unfused_walk(self):
-        fused_kernel = Kernel()
-        assert fused_kernel.pipeline.fused
-        fused_proc = _run_syscalls(fused_kernel)
+        """The mix on a bare kernel charges nothing; under a filter that
+        fails ``close`` with EPERM, its seccomp cycles are pinned."""
+        from repro.kernel.seccomp import SECCOMP_RET_ERRNO
 
-        ref_kernel = Kernel()
-        ref_kernel.pipeline.set_fusion(False)
-        ref_proc = _run_syscalls(ref_kernel)
+        counts = {"getpid": 4, "socket": 1, "close": 1}
+        kernel = Kernel()
+        proc = _run_syscalls(kernel)
+        assert kernel.telemetry.stage_cycles() == {}
+        assert proc.ledger.cycles == 0
+        assert proc.ledger.by_category == {}
+        assert dict(proc.syscall_counts) == counts
 
-        assert (
-            fused_kernel.telemetry.stage_cycles()
-            == ref_kernel.telemetry.stage_cycles()
-        )
-        assert fused_proc.ledger.cycles == ref_proc.ledger.cycles
-        assert fused_proc.ledger.by_category == ref_proc.ledger.by_category
-        assert dict(fused_proc.syscall_counts) == dict(ref_proc.syscall_counts)
+        kernel = Kernel()
+        proc = _run_syscalls(kernel, _action_filter("close", SECCOMP_RET_ERRNO | 1))
+        assert kernel.telemetry.stage_cycles() == {"seccomp": 6}
+        assert proc.ledger.cycles == 6
+        assert proc.ledger.by_category == {"seccomp": 6}
+        assert dict(proc.syscall_counts) == counts
+        assert _dispatch_counters(kernel) == {
+            "dispatch.syscalls": 6,
+            "dispatch.verdict.allow": 5,
+            "dispatch.verdict.errno": 1,
+        }
 
     def test_verdict_counters_identical_to_unfused_walk(self):
-        fused_kernel = Kernel()
-        _run_syscalls(fused_kernel)
-        ref_kernel = Kernel()
-        ref_kernel.pipeline.set_fusion(False)
-        _run_syscalls(ref_kernel)
-        fused = {
-            k: v
-            for k, v in fused_kernel.telemetry.counters.items()
-            if k == "dispatch.syscalls" or k.startswith("dispatch.verdict.")
+        kernel = Kernel()
+        _run_syscalls(kernel)
+        assert _dispatch_counters(kernel) == {
+            "dispatch.syscalls": 6,
+            "dispatch.verdict.allow": 6,
         }
-        ref = {
-            k: v
-            for k, v in ref_kernel.telemetry.counters.items()
-            if k == "dispatch.syscalls" or k.startswith("dispatch.verdict.")
-        }
-        assert fused["dispatch.syscalls"] == 6
-        assert fused == ref
-
-    def _kill_filter(self):
-        from repro.kernel.seccomp import (
-            SECCOMP_RET_KILL_PROCESS,
-            build_action_filter,
-        )
-        from repro.syscalls.table import nr_of
-
-        return build_action_filter({nr_of("socket"): SECCOMP_RET_KILL_PROCESS})
 
     def test_seccomp_kill_attribution_matches_unfused(self):
-        """A KILL raised from inside the fused call must attribute its
-        cycles exactly like the reference walk (try/finally parity)."""
-        outcomes = []
-        for fusion in (True, False):
-            kernel = Kernel()
-            kernel.pipeline.set_fusion(fusion)
-            proc = kernel.create_process("app", image=None)
-            kernel.install_seccomp(proc, self._kill_filter())
-            kernel.dispatch(proc, "getpid", ())
-            with pytest.raises(ProcessKilled):
-                kernel.dispatch(proc, "socket", (2, 1, 0))
-            outcomes.append(
-                (
-                    kernel.telemetry.stage_cycles(),
-                    proc.ledger.cycles,
-                    dict(proc.syscall_counts),
-                    {
-                        k: v
-                        for k, v in kernel.telemetry.counters.items()
-                        if k.startswith("dispatch.verdict.")
-                    },
-                )
-            )
-        assert outcomes[0] == outcomes[1]
+        """A KILL raised from inside the seccomp stage still attributes its
+        cycles to that stage (the walk's try/finally)."""
+        from repro.kernel.seccomp import SECCOMP_RET_KILL_PROCESS
+
+        kernel = Kernel()
+        proc = kernel.create_process("app", image=None)
+        kernel.install_seccomp(
+            proc, _action_filter("socket", SECCOMP_RET_KILL_PROCESS)
+        )
+        kernel.dispatch(proc, "getpid", ())
+        with pytest.raises(ProcessKilled):
+            kernel.dispatch(proc, "socket", (2, 1, 0))
+        assert kernel.telemetry.stage_cycles() == {"seccomp": 2}
+        assert proc.ledger.cycles == 2
+        assert dict(proc.syscall_counts) == {"getpid": 1, "socket": 1}
+        assert {
+            k: v
+            for k, v in kernel.telemetry.counters.items()
+            if k.startswith("dispatch.verdict.")
+        } == {"dispatch.verdict.allow": 1, "dispatch.verdict.kill": 1}
 
     def test_per_stage_attribution_with_hook_between_stages(self):
-        """With a counting hook at ``count`` the pipeline de-fuses, and the
-        hook sees every dispatch exactly once — same as it would have
-        pre-fusion."""
+        """A counting hook at ``count`` sees every dispatch exactly once."""
         kernel = Kernel()
         seen = []
         kernel.pipeline.insert("count", lambda ctx: seen.append(ctx.name))
-        assert not kernel.pipeline.fused
         _run_syscalls(kernel)
         assert seen == ["getpid", "socket", "close", "getpid", "getpid", "getpid"]

@@ -1,10 +1,11 @@
-"""Tests for readv/writev, pipes, and dup2."""
+"""Tests for readv/writev, pipes, dup2, and file syscalls on non-files."""
 
 import pytest
 
 from repro.ir.builder import ModuleBuilder
 from repro.kernel import errno
 from repro.kernel.kernel import Kernel
+from repro.kernel.vfs import S_IFIFO
 from repro.vm.loader import Image
 from repro.vm.memory import WORD
 
@@ -110,3 +111,66 @@ class TestDup2:
     def test_dup2_bad_source(self, setup):
         kernel, proc = setup
         assert kernel.dispatch(proc, "dup2", [99, 5]) == -errno.EBADF
+
+
+#: file syscalls on a pipe end or an epoll fd: (syscall, fd kind, args
+#: after the fd, expected return).  ``sendfile_in`` passes the fd as
+#: in_fd, ``sendfile_out`` as out_fd, with /tmp/data on the other side.
+_NON_FILE_CASES = [
+    (name, "epoll", rest, -errno.EINVAL)
+    for name, rest in (
+        ("read", [BUF, 4]),
+        ("write", [BUF, 4]),
+        ("readv", [IOV, 1]),
+        ("writev", [IOV, 1]),
+        ("recvfrom", [BUF, 4, 0]),
+        ("sendto", [BUF, 4, 0]),
+    )
+] + [
+    (name, kind, rest, -errno.ESPIPE)
+    for kind in ("pipe_r", "pipe_w", "epoll")
+    for name, rest in (
+        ("pread64", [BUF, 4, 1]),
+        ("pwrite64", [BUF, 4, 1]),
+        ("lseek", [2, 0]),
+    )
+] + [
+    ("fstat", kind, [BUF], 0) for kind in ("pipe_r", "pipe_w", "epoll")
+] + [
+    ("getdents", "epoll", [BUF, 64], -errno.EBADF),
+    ("sendfile_out", "epoll", [4], -errno.EINVAL),
+] + [
+    ("sendfile_in", kind, [4], -errno.EINVAL)
+    for kind in ("pipe_r", "pipe_w", "epoll")
+]
+
+
+class TestNonFileDescriptors:
+    @pytest.mark.parametrize(
+        "name,kind,rest,expected",
+        _NON_FILE_CASES,
+        ids=["%s-%s" % (case[0], case[1]) for case in _NON_FILE_CASES],
+    )
+    def test_file_syscall_returns_errno(self, setup, name, kind, rest, expected):
+        """A file syscall on a pipe end or an epoll fd fails with an errno
+        (or, for fstat, reports the fd's type) instead of crashing the
+        dispatch."""
+        kernel, proc = setup
+        kernel.dispatch(proc, "pipe", [BUF + 0x800 * WORD])
+        fds = {
+            "pipe_r": proc.memory.read(BUF + 0x800 * WORD),
+            "pipe_w": proc.memory.read(BUF + 0x801 * WORD),
+            "epoll": kernel.dispatch(proc, "epoll_create1", [0]),
+        }
+        fd = fds[kind]
+        proc.memory.write_block(IOV, [BUF, 4])
+        if name == "sendfile_in":
+            rc = kernel.dispatch(proc, "sendfile", [_open(kernel, proc), fd, 0] + rest)
+        elif name == "sendfile_out":
+            rc = kernel.dispatch(proc, "sendfile", [fd, _open(kernel, proc), 0] + rest)
+        else:
+            rc = kernel.dispatch(proc, name, [fd] + rest)
+        assert rc == expected
+        if name == "fstat":
+            kind_bits = 0 if kind == "epoll" else S_IFIFO
+            assert proc.memory.read_block(BUF, 2) == [kind_bits, 0]

@@ -13,7 +13,8 @@ import pytest
 
 from repro.apps.nginx import NginxConfig
 from repro.apps.workloads import ConcurrentWrkWorkload
-from repro.bench.harness import run_app_scheduled
+from repro.bench.harness import run_app
+from repro.sched import DEFAULT_QUANTUM
 from tests.conftest import measured_fingerprint
 
 CONNECTIONS = 6
@@ -38,8 +39,8 @@ def _event_pool(workers=1):
     return NginxConfig(workers=workers, master_serves=False, event_loop=True)
 
 
-def _run(config, quantum=None):
-    return run_app_scheduled(
+def _run(config, quantum=DEFAULT_QUANTUM):
+    return run_app(
         "nginx",
         config=config,
         app_config=_event_pool(),
@@ -120,8 +121,12 @@ def _c10k_run(connections, config):
         requests_per_connection=C10K_REQUESTS_PER_CONNECTION,
         max_inflight=connections,
     )
-    result = run_app_scheduled(
-        "nginx", config=config, app_config=_event_pool(), workload=workload
+    result = run_app(
+        "nginx",
+        config=config,
+        app_config=_event_pool(),
+        workload=workload,
+        quantum=DEFAULT_QUANTUM,
     )
     return result, workload
 

@@ -1,8 +1,12 @@
 """End-to-end: NGINX master + clone()d worker pool under concurrent wrk."""
 
+import pytest
+
 from repro.apps.nginx import NginxConfig
 from repro.apps.workloads import ConcurrentWrkWorkload
-from repro.bench.harness import run_app_scheduled
+from repro.bench.harness import run_app
+from repro.errors import KernelError
+from repro.sched import DEFAULT_QUANTUM
 from tests.conftest import measured_fingerprint
 
 REQUESTS = 6 * 4  # connections * requests_per_connection
@@ -20,11 +24,12 @@ def _pool(workers):
 
 class TestMultiWorkerNginx:
     def test_four_workers_serve_all_requests(self):
-        result = run_app_scheduled(
+        result = run_app(
             "nginx",
             config="cet_ct_cf_ai",
             app_config=_pool(4),
             workload=_workload(),
+            quantum=DEFAULT_QUANTUM,
         )
         assert result.ok
         assert result.violations == []
@@ -35,8 +40,12 @@ class TestMultiWorkerNginx:
         assert result.throughput_mbps() > 0
 
     def test_latency_percentiles_populated(self):
-        result = run_app_scheduled(
-            "nginx", config="vanilla", app_config=_pool(2), workload=_workload()
+        result = run_app(
+            "nginx",
+            config="vanilla",
+            app_config=_pool(2),
+            workload=_workload(),
+            quantum=DEFAULT_QUANTUM,
         )
         latency = result.latency
         assert latency["count"] == REQUESTS
@@ -45,14 +54,19 @@ class TestMultiWorkerNginx:
         assert result.latency_ms("p99") > 0
 
     def test_protection_costs_cycles_not_requests(self):
-        vanilla = run_app_scheduled(
-            "nginx", config="vanilla", app_config=_pool(2), workload=_workload()
+        vanilla = run_app(
+            "nginx",
+            config="vanilla",
+            app_config=_pool(2),
+            workload=_workload(),
+            quantum=DEFAULT_QUANTUM,
         )
-        bastion = run_app_scheduled(
+        bastion = run_app(
             "nginx",
             config="cet_ct_cf_ai",
             app_config=_pool(2),
             workload=_workload(),
+            quantum=DEFAULT_QUANTUM,
         )
         assert vanilla.work_units == bastion.work_units
         assert bastion.total_cycles > vanilla.total_cycles
@@ -62,19 +76,24 @@ class TestMultiWorkerNginx:
 
         def fingerprint():
             return measured_fingerprint(
-                run_app_scheduled(
+                run_app(
                     "nginx",
                     config="cet_ct_cf_ai",
                     app_config=_pool(2),
                     workload=_workload(),
+                    quantum=DEFAULT_QUANTUM,
                 )
             )
 
         assert fingerprint() == fingerprint()
 
     def test_single_worker_pool_matches_request_count(self):
-        result = run_app_scheduled(
-            "nginx", config="vanilla", app_config=_pool(1), workload=_workload()
+        result = run_app(
+            "nginx",
+            config="vanilla",
+            app_config=_pool(1),
+            workload=_workload(),
+            quantum=DEFAULT_QUANTUM,
         )
         assert result.ok
         assert result.work_units == REQUESTS
@@ -94,6 +113,9 @@ class TestMultiWorkerNginx:
         assert result.latency["count"] == REQUESTS
         assert result.overhead_pct is None  # no baseline under a scheduler
         assert result.latency_ms("p50") > 0
+        # a quantum is a cycle count: 0 is rejected, not read as the default
+        with pytest.raises(KernelError, match="quantum"):
+            run("nginx", "vanilla", workload=_workload(), app_config=_pool(2), quantum=0)
 
     def test_paper_faithful_single_process_unchanged(self):
         """The default config still serves from the master with no clones

@@ -7,9 +7,10 @@ and asserts the observable surface — status, work units, syscall counts,
 monitor counters, and *exact* cycle totals — is identical.  A failure
 means the refactor changed behavior or cost, not just structure.
 
-Also pins the pipeline's structural contracts: stage order is enforced at
-install time, mechanism hooks land between stages, and the temporal
-baseline's phase switch actually swaps filters at the first ``accept``.
+Also pins the pipeline's structural contracts: handlers run in stage
+order whatever order they are inserted in, mechanism hooks land between
+stages, and the temporal baseline's phase switch actually swaps filters
+at the first ``accept``.
 """
 
 import json
@@ -17,13 +18,8 @@ import json
 import pytest
 
 from repro.bench.harness import run_app
-from repro.errors import ProcessKilled
-from repro.kernel.dispatch import (
-    STAGE_ORDER,
-    DispatchPipeline,
-    StageOrderError,
-    SyscallContext,
-)
+from repro.errors import KernelError, ProcessKilled
+from repro.kernel.dispatch import STAGE_ORDER, DispatchPipeline, SyscallContext
 from repro.kernel.kernel import Kernel
 from repro.telemetry import TelemetryBus
 from tests.fixtures.record_parity import FIXTURE_PATH, snapshot
@@ -69,15 +65,22 @@ def test_matrix_covers_every_mechanism():
 
 class TestStageOrder:
     def test_install_out_of_order_raises(self):
+        """Handlers inserted in reverse stage order still run in
+        ``STAGE_ORDER``: ``insert`` places each by its stage's rank."""
         pipeline = DispatchPipeline(TelemetryBus())
-        pipeline.install("verify", lambda ctx: None)
-        with pytest.raises(StageOrderError):
-            pipeline.install("seccomp", lambda ctx: None)
+        trace = []
+        for stage in reversed(STAGE_ORDER):
+            pipeline.insert(stage, lambda ctx, stage=stage: trace.append(stage))
+        assert pipeline.stage_names() == STAGE_ORDER
+        proc = Kernel().create_process("p", image=None)
+        pipeline.run(SyscallContext(proc, "getpid", ()))
+        assert tuple(trace) == STAGE_ORDER
 
     def test_install_unknown_stage_raises(self):
         pipeline = DispatchPipeline(TelemetryBus())
-        with pytest.raises(StageOrderError):
-            pipeline.install("frobnicate", lambda ctx: None)
+        with pytest.raises(KernelError, match="block, count, seccomp"):
+            pipeline.insert("frobnicate", lambda ctx: None)
+        assert pipeline.stage_names() == ()
 
     def test_kernel_pipeline_is_fully_populated_in_order(self):
         kernel = Kernel()
@@ -88,8 +91,8 @@ class TestStageOrder:
         installed handlers but before the next stage's."""
         pipeline = DispatchPipeline(TelemetryBus())
         trace = []
-        pipeline.install("count", lambda ctx: trace.append("count"))
-        pipeline.install("seccomp", lambda ctx: trace.append("seccomp"))
+        pipeline.insert("count", lambda ctx: trace.append("count"))
+        pipeline.insert("seccomp", lambda ctx: trace.append("seccomp"))
         pipeline.insert("count", lambda ctx: trace.append("hook"))
         kernel = Kernel()
         proc = kernel.create_process("p", image=None)
