@@ -59,7 +59,7 @@ from repro.policy import (
     sensitive_sites,
 )
 from repro.syscalls.sensitive import SENSITIVE_SYSCALLS
-from repro.vm.loader import INSTR_STRIDE, TEXT_BASE, Image
+from repro.vm.loader import INSTR_STRIDE, TEXT_BASE, load_module
 
 PASS_NAME = "binary"
 _KINDS = ("direct", "indirect")
@@ -543,12 +543,11 @@ _recovery_cache = {}
 
 
 def recover_image_for(module):
-    """Recover (and cache) the binary tables for a module's image."""
-    key = id(module)
-    cached = _recovery_cache.get(key)
-    if cached is None or cached.image.module is not module:
-        cached = recover_image(Image(module))
-        _recovery_cache[key] = cached
+    """Recover (and cache) the binary tables for a module's loaded image."""
+    image = load_module(module)
+    cached = _recovery_cache.get(id(module))
+    if cached is None or cached.image is not image:
+        cached = _recovery_cache[id(module)] = recover_image(image)
     return cached
 
 

@@ -8,7 +8,7 @@ Usage::
     artifact.image()    # loadable Image of the instrumented program
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.callgraph import build_callgraph
 from repro.ir.instructions import Call, CallIndirect
@@ -24,7 +24,7 @@ from repro.compiler.metadata import (
     SiteKey,
 )
 from repro.syscalls.sensitive import FILESYSTEM_EXTENSION, SENSITIVE_SYSCALLS
-from repro.vm.loader import Image
+from repro.vm.loader import load_module
 
 
 #: pass-hook stage names, in execution order
@@ -46,13 +46,11 @@ class BastionArtifact:
     original: object  # the input Module (untouched)
     module: object  # the instrumented Module
     metadata: BastionMetadata
-    _image: object = field(default=None, repr=False)
 
     def image(self):
-        """The loadable image of the instrumented program (cached)."""
-        if self._image is None:
-            self._image = Image(self.module)
-        return self._image
+        """The loaded image of the instrumented program (the loader's
+        one image per module state)."""
+        return load_module(self.module)
 
 
 class BastionCompiler:

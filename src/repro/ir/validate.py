@@ -37,7 +37,7 @@ _KNOWN_INTRINSICS = set(HARNESS_INTRINSICS) | {
     CTX_BIND_CONST,
 }
 
-#: module -> stamp (see :func:`_stamp`) of the state it last passed in full
+#: module -> stamp (see :func:`module_stamp`) of the state it last passed in full
 _validated = weakref.WeakKeyDictionary()
 
 
@@ -57,7 +57,7 @@ def validate_module(module):
 
     Returns the module (for chaining).
     """
-    stamp = _stamp(module)
+    stamp = module_stamp(module)
     if _validated.get(module) == stamp:
         return module
     if module.entry not in module.functions:
@@ -70,16 +70,21 @@ def validate_module(module):
     return module
 
 
-def _stamp(module):
-    """What validation reads.  Functions and bodies are held as objects,
-    so a replaced one can never match through a reused ``id``."""
+def module_stamp(module):
+    """What validation and the loader read of ``module``.
+
+    The memos of module derivations (validation here, the loader's
+    image, the VM's code maps, the baselines' syscall sets) hold while
+    this stamp is equal.  Functions, bodies and globals are held as
+    objects, so a replaced one can never match through a reused ``id``.
+    """
     return (
         module.entry,
         tuple(
             (name, func, func.body, len(func.body), func.version)
             for name, func in module.functions.items()
         ),
-        tuple(module.globals),
+        tuple((name, gvar, gvar.size) for name, gvar in module.globals.items()),
         tuple(module.types.structs.items()),
     )
 

@@ -122,17 +122,23 @@ class BPFProgram:
     every jump lands inside the program, every scratch index is below
     ``BPF_MEMWORDS``, and every absolute load is an aligned word inside
     ``struct seccomp_data``.
+
+    A program is immutable (``instructions`` is a tuple), so one program
+    can serve every filter built from the same input.  Programs compare
+    by content, with the hash computed once at load.
     """
 
     MAX_INSNS = 4096
 
     def __init__(self, instructions):
-        instructions = list(instructions)
+        instructions = tuple(instructions)
         if not instructions:
             raise KernelError("empty BPF program")
         if len(instructions) > self.MAX_INSNS:
             raise KernelError("BPF program too long")
+        key = []
         for pc, ins in enumerate(instructions):
+            key += (ins.code, ins.jt, ins.jf, ins.k)
             cls = ins.code & 0x07
             mode = ins.code & 0xE0
             if cls == BPF_JMP:
@@ -153,6 +159,16 @@ class BPFProgram:
         if instructions[-1].code & 0x07 != BPF_RET:
             raise KernelError("BPF program must end in RET")
         self.instructions = instructions
+        self._key = tuple(key)
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        if not isinstance(other, BPFProgram):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self._key == other._key)
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.instructions)

@@ -741,18 +741,18 @@ class Kernel:
     def _sys_lseek(self, proc, args):
         fd, offset, whence = (self._arg(args, i) for i in range(3))
         desc = proc.fdtable.get(fd)
-        if desc is None or isinstance(desc, Socket):
+        if desc is None:
             return -errno.EBADF
-        if isinstance(desc, (_PipeEnd, Epoll)):
+        if not isinstance(desc, OpenFile):
             return -errno.ESPIPE
         return desc.seek(offset, whence)
 
     def _sys_pread(self, proc, args):
         fd, buf, count, offset = (self._arg(args, i) for i in range(4))
         desc = proc.fdtable.get(fd)
-        if desc is None or isinstance(desc, Socket):
+        if desc is None:
             return -errno.EBADF
-        if isinstance(desc, (_PipeEnd, Epoll)):
+        if not isinstance(desc, OpenFile):
             return -errno.ESPIPE
         saved = desc.pos
         desc.pos = offset
@@ -767,9 +767,9 @@ class Kernel:
     def _sys_pwrite(self, proc, args):
         fd, buf, count, offset = (self._arg(args, i) for i in range(4))
         desc = proc.fdtable.get(fd)
-        if desc is None or isinstance(desc, Socket):
+        if desc is None:
             return -errno.EBADF
-        if isinstance(desc, (_PipeEnd, Epoll)):
+        if not isinstance(desc, OpenFile):
             return -errno.ESPIPE
         if count < 0:
             return -errno.EFAULT  # as in _sys_write
@@ -833,10 +833,18 @@ class Kernel:
         return new_fd
 
     def _sys_sendfile(self, proc, args):
+        """sendfile(out_fd, in_fd, offset, count).  As in Linux, an out_fd
+        not open for writing (a directory, a pipe's read end) fails with
+        EBADF before a byte moves."""
         out_fd, in_fd, _off_ptr, count = (self._arg(args, i) for i in range(4))
         src = proc.fdtable.get(in_fd)
         dst = proc.fdtable.get(out_fd)
-        if src is None or dst is None:
+        if (
+            src is None
+            or dst is None
+            or (isinstance(dst, _PipeEnd) and dst.readable)
+            or (isinstance(dst, OpenFile) and dst.node.kind != "file")
+        ):
             return -errno.EBADF
         if (
             not isinstance(src, OpenFile)
@@ -960,6 +968,12 @@ class Kernel:
         domain, type_, protocol = (self._arg(args, i) for i in range(3))
         return proc.fdtable.install(Socket(domain, type_, protocol))
 
+    @staticmethod
+    def _not_a_socket(desc):
+        """The errno of a socket call on a non-socket fd: EBADF if it is not
+        open, ENOTSOCK if it is."""
+        return -errno.EBADF if desc is None else -errno.ENOTSOCK
+
     def _read_sockaddr(self, proc, addr_ptr):
         return proc.memory.read_block(addr_ptr, SOCKADDR_SLOTS)
 
@@ -967,7 +981,7 @@ class Kernel:
         fd, addr_ptr = self._arg(args, 0), self._arg(args, 1)
         sock = proc.fdtable.get(fd)
         if not isinstance(sock, Socket):
-            return -errno.ENOTSOCK
+            return self._not_a_socket(sock)
         _family, port, _host = self._read_sockaddr(proc, addr_ptr)
         if not self.net.bind(sock, port):
             return -errno.EADDRINUSE
@@ -977,7 +991,7 @@ class Kernel:
         fd, backlog = self._arg(args, 0), self._arg(args, 1)
         sock = proc.fdtable.get(fd)
         if not isinstance(sock, Socket):
-            return -errno.ENOTSOCK
+            return self._not_a_socket(sock)
         self.net.listen(sock, backlog)
         return 0
 
@@ -991,7 +1005,7 @@ class Kernel:
         fd, addr_ptr, _len_ptr = (self._arg(args, i) for i in range(3))
         sock = proc.fdtable.get(fd)
         if not isinstance(sock, Socket):
-            return -errno.ENOTSOCK
+            return self._not_a_socket(sock)
         if not sock.listening:
             return -errno.EINVAL
         conn = self.net.next_connection(sock)
@@ -1011,7 +1025,7 @@ class Kernel:
         fd, addr_ptr = self._arg(args, 0), self._arg(args, 1)
         sock = proc.fdtable.get(fd)
         if not isinstance(sock, Socket):
-            return -errno.ENOTSOCK
+            return self._not_a_socket(sock)
         _family, port, _host = self._read_sockaddr(proc, addr_ptr)
         sock.connected_port = port
         self.record("connect", proc, port=port)
@@ -1029,7 +1043,7 @@ class Kernel:
     def _sys_shutdown(self, proc, args):
         sock = proc.fdtable.get(self._arg(args, 0))
         if not isinstance(sock, Socket):
-            return -errno.ENOTSOCK
+            return self._not_a_socket(sock)
         if sock.connection is not None:
             sock.connection.closed = True
         return 0
@@ -1106,11 +1120,13 @@ class Kernel:
     def _sys_fcntl(self, proc, args):
         """fcntl(fd, cmd, arg): F_GETFL/F_SETFL drive O_NONBLOCK on sockets.
 
-        Everything else keeps the historical always-0 behavior (the apps
-        only probe status flags).
+        An fd that is not open fails with EBADF; everything else keeps the
+        historical always-0 behavior (the apps only probe status flags).
         """
         fd, cmd, arg = (self._arg(args, i) for i in range(3))
         desc = proc.fdtable.get(fd)
+        if desc is None:
+            return -errno.EBADF
         if isinstance(desc, Socket):
             if cmd == F_GETFL:
                 return O_NONBLOCK if desc.nonblocking else 0

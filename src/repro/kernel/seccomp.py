@@ -100,8 +100,16 @@ def combine_actions(actions):
     return best
 
 
+#: (sorted action items, default action) -> the BPFProgram built for them
+_programs = {}
+
+
 def build_action_filter(action_by_nr, default_action=SECCOMP_RET_ALLOW, label="bastion"):
     """Build a :class:`SeccompFilter` from ``{syscall_nr: action}``.
+
+    The program is built once per distinct action map and default, and
+    shared (it is immutable); each call returns a fresh filter carrying
+    its own ``label``.
 
     Generated shape (exactly the classic seccomp tutorial filter)::
 
@@ -114,10 +122,18 @@ def build_action_filter(action_by_nr, default_action=SECCOMP_RET_ALLOW, label="b
         ret #default
         ret #KILL   ; arch mismatch
     """
+    entries = sorted(action_by_nr.items())
+    key = (tuple(entries), default_action)
+    program = _programs.get(key)
+    if program is None:
+        program = _programs[key] = _action_program(entries, default_action)
+    return SeccompFilter(program, label=label)
+
+
+def _action_program(entries, default_action):
     instructions = [stmt(BPF_LD | BPF_W | BPF_ABS, SECCOMP_DATA_ARCH)]
     body = [stmt(BPF_LD | BPF_W | BPF_ABS, SECCOMP_DATA_NR)]
 
-    entries = sorted(action_by_nr.items())
     # Each entry is a JEQ that either skips to its own RET (placed after the
     # chain and the default RET) or falls through to the next JEQ.  The i-th
     # RET sits (n-1-i) JEQs + 1 default RET + i earlier RETs past the JEQ,
@@ -135,7 +151,7 @@ def build_action_filter(action_by_nr, default_action=SECCOMP_RET_ALLOW, label="b
     )
     instructions.extend(body)
     instructions.append(stmt(BPF_RET | BPF_K, SECCOMP_RET_KILL_PROCESS))
-    return SeccompFilter(BPFProgram(instructions), label=label)
+    return BPFProgram(instructions)
 
 
 def build_arg_constraint_filter(syscall_name, position, allowed_values):
@@ -236,9 +252,10 @@ def _filter_is_nr_only(filt):
     return True
 
 
-#: (every filter's instructions, nrs) -> SeccompActionCache.  Filters are
-#: rebuilt on every launch and faults swap in copy-on-fault programs, so
-#: only a content key hits across runs and never serves another program.
+#: (every filter's program, nrs) -> SeccompActionCache, or None for a
+#: chain that is not nr-only.  Programs compare by content, so a chain
+#: equal to one seen before hits whatever filters carry it, and a
+#: copy-on-fault program never gets another program's bitmap.
 _action_caches = {}
 
 
@@ -248,18 +265,21 @@ def compute_action_cache(filters, nrs):
     Returns ``None`` (no cache, every syscall runs the BPF engine) when no
     filter is attached or any attached filter is argument/ip-dependent.
     A chain whose programs equal one already computed in this process
-    shares that chain's (frozen) cache.
+    shares that chain's (frozen) cache, or its ``None``.
     """
-    if not filters or not all(_filter_is_nr_only(f) for f in filters):
+    if not filters:
         return None
     nrs = tuple(nrs)
-    key = (tuple(tuple(f.program.instructions) for f in filters), nrs)
-    cache = _action_caches.get(key)
-    if cache is None:
+    key = (tuple(f.program for f in filters), nrs)
+    if key in _action_caches:
+        return _action_caches[key]
+    cache = None
+    if all(_filter_is_nr_only(f) for f in filters):
         allow = set()
         for nr in nrs:
             action, _insns = evaluate_filters(filters, nr)
             if action & SECCOMP_RET_ACTION_FULL == SECCOMP_RET_ALLOW:
                 allow.add(nr)
-        cache = _action_caches[key] = SeccompActionCache(allow_nrs=frozenset(allow))
+        cache = SeccompActionCache(allow_nrs=frozenset(allow))
+    _action_caches[key] = cache
     return cache

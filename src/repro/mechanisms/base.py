@@ -14,7 +14,7 @@ path, undefended runs included.
 
 from repro.compiler.pipeline import BastionCompiler
 from repro.vm.cpu import CPU
-from repro.vm.loader import Image
+from repro.vm.loader import load_module
 
 _artifact_cache = {}
 
@@ -63,7 +63,7 @@ class ProtectionMechanism:
 
     def launch(self, kernel, app, module):
         """Create the protected root process; returns ``(proc, cpu)``."""
-        image = Image(self.target_module(app, module))
+        image = load_module(self.target_module(app, module))
         #: the loaded image, for mechanisms that analyze the binary itself
         self.image = image
         proc = kernel.create_process(app, image)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.ir.callgraph import build_callgraph, wrapper_map
 from repro.ir.instructions import Call, Syscall
+from repro.ir.validate import module_stamp
 from repro.mechanisms.base import ProtectionMechanism
 from repro.policy import build_presence_filter
 from repro.syscalls.sensitive import SENSITIVE_SYSCALLS
@@ -98,9 +99,33 @@ def debloat_module(module):
     return new_module, report
 
 
-#: input module -> ``debloat_module(module)``, so every launch loads one
-#: shared debloated module (and the loader validates it once)
-_debloated = weakref.WeakKeyDictionary()
+#: input module -> ``(module_stamp(module), {derivation: result})``: the
+#: debloated module (so every launch loads one shared debloated module,
+#: and the loader lays it out once), the used syscalls and the phase split
+#: per set of serving roots, each derived once per module state
+_derived = weakref.WeakKeyDictionary()
+
+
+def _derive(module, key, derive, *args):
+    """``derive(module, *args)`` for ``module``'s current state, memoized
+    under ``key``."""
+    stamp = module_stamp(module)
+    entry = _derived.get(module)
+    if entry is None or entry[0] != stamp:
+        entry = _derived[module] = (stamp, {})
+    results = entry[1]
+    if key not in results:
+        results[key] = derive(module, *args)
+    return results[key]
+
+
+def _used_syscalls(module):
+    return frozenset(build_callgraph(module).syscall_sites)
+
+
+def _phase_sets(module, roots):
+    init_only, serving = phase_syscalls(module, roots)
+    return frozenset(init_only), frozenset(serving)
 
 
 class StaticMechanism(ProtectionMechanism):
@@ -111,7 +136,7 @@ class SeccompAllowlistMechanism(ProtectionMechanism):
     """Static syscall allowlist: KILL anything the program never calls."""
 
     def install(self, kernel, proc, app, module):
-        allowed = build_callgraph(module).syscall_sites
+        allowed = _derive(module, "used", _used_syscalls)
         kernel.install_seccomp(proc, build_presence_filter(allowed, "allowlist"))
 
 
@@ -136,10 +161,10 @@ class TemporalMechanism(SeccompAllowlistMechanism):
         roots = SERVING_ROOTS.get(app)
         if roots is None:
             return
-        init_only, serving_set = phase_syscalls(module, roots)
+        init_only, serving_set = _derive(module, ("phases", roots), _phase_sets, roots)
         serving = build_presence_filter(serving_set, "temporal-serving")
         self.serving_filter = serving
-        self.init_only = frozenset(init_only)
+        self.init_only = init_only
 
         def phase_switch(ctx):
             if not self.switched and ctx.name in ("accept", "accept4"):
@@ -157,7 +182,5 @@ class DebloatMechanism(ProtectionMechanism):
         self.report = None
 
     def target_module(self, app, module):
-        if module not in _debloated:
-            _debloated[module] = debloat_module(module)
-        debloated, self.report = _debloated[module]
+        debloated, self.report = _derive(module, "debloat", debloat_module)
         return debloated

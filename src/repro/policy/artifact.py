@@ -142,6 +142,10 @@ def policy_json(policy):
     return json.dumps(policy.to_payload(), indent=2, sort_keys=True)
 
 
+#: frozenset of allowed syscall names -> the shared BPFProgram
+_presence_programs = {}
+
+
 def build_presence_filter(syscalls, label):
     """Deny-list seccomp filter that KILLs the table syscalls not named.
 
@@ -155,20 +159,26 @@ def build_presence_filter(syscalls, label):
     in-kernel before the transition check ever runs), the
     ``seccomp_allowlist`` and ``temporal`` baselines the syscalls their
     own analyses collect.  ``label`` names the filter in kill records.
+    The program is built once per set of syscalls; each call returns a
+    fresh filter.
     """
     from repro.kernel.seccomp import (
         SECCOMP_RET_ALLOW,
         SECCOMP_RET_KILL_PROCESS,
+        SeccompFilter,
         build_action_filter,
     )
     from repro.syscalls.table import SYSCALLS
 
-    allowed = set(syscalls)
-    actions = {
-        entry.nr: SECCOMP_RET_KILL_PROCESS
-        for entry in SYSCALLS
-        if entry.name not in allowed
-    }
-    return build_action_filter(
-        actions, default_action=SECCOMP_RET_ALLOW, label=label
-    )
+    allowed = frozenset(syscalls)
+    program = _presence_programs.get(allowed)
+    if program is None:
+        actions = {
+            entry.nr: SECCOMP_RET_KILL_PROCESS
+            for entry in SYSCALLS
+            if entry.name not in allowed
+        }
+        program = _presence_programs[allowed] = build_action_filter(
+            actions, default_action=SECCOMP_RET_ALLOW
+        ).program
+    return SeccompFilter(program, label=label)

@@ -7,8 +7,8 @@ ret, syscall or intrinsic, into one generated Python function.  Frame-slot
 offsets, immediates, jump targets, callee frame sizes, global addresses
 and cycle charges are baked into its source, so a block pays no decoding,
 one ledger update and one set of loop checks for all its instructions.
-An indirect call looks its callee's frame size and arity up in a per-CPU
-memo (``CPU._callees``) keyed by the target address.
+An indirect call looks its callee's frame size and arity up in the
+image's code maps (``CPU._callees``) keyed by the target address.
 
 **Sharing.**  A block takes ``(cpu, words, ledger, by_category, stats,
 fp)`` as arguments and captures nothing: it has no closure cells, and its
@@ -18,7 +18,12 @@ a run.  :func:`function_code` memoizes a function's blocks by all
 that the source bakes in: the body object and its ``version``, the image
 layout (function bases, global addresses, every function's frame size
 and arity, struct layouts), the ``CostModel`` and the CET/DFI/LLVM-CFI
-flags.  Identical block source compiles once.
+flags.  Identical block source compiles once.  The lookups that lead a
+CPU to a block, from a code address to its function's blocks, from an
+indirect-call target to its callee's frame, from a return address to the
+caller's destination slot, are :class:`CodeMaps` kept per image and
+context (:func:`code_maps`), so every CPU and run on one loaded image
+fills them once.
 
 **Exactness.**  ``CPU.run_slice`` runs a block only when every
 instruction in it would pass the reference loop's per-instruction checks
@@ -67,6 +72,7 @@ from repro.ir.instructions import (
     Syscall,
     Var,
 )
+from repro.ir.validate import module_stamp
 from repro.vm.loader import INSTR_STRIDE
 from repro.vm.memory import WORD
 
@@ -81,6 +87,8 @@ _layouts = {}
 _codes = weakref.WeakKeyDictionary()
 #: digest of a block's source -> its function
 _compiled = weakref.WeakValueDictionary()
+#: Image -> {(CostModel, cet, dfi, cfi): CodeMaps}
+_maps = weakref.WeakKeyDictionary()
 
 
 def context_key(image, costs, cet, dfi, cfi):
@@ -96,6 +104,47 @@ def context_key(image, costs, cet, dfi, cfi):
         tuple(module.types.structs.values()),
     )
     return (_layouts.setdefault(layout, len(_layouts)), costs, bool(cet), bool(dfi), bool(cfi))
+
+
+class CodeMaps:
+    """The code lookups shared by every CPU on one image and context.
+
+    ``codes`` maps a function name to its :class:`FunctionCode`,
+    ``entries`` a code address that control lands on to ``(FunctionCode,
+    Function)``, ``callees`` an indirect-call target to ``(frame size,
+    arity)`` and ``ret_sites`` a return address to the caller's
+    destination frame offset (0: none); CPUs fill them as they run.
+    ``context`` is the :func:`context_key` their blocks compile under.
+    The maps hold for the module state (``stamp``) and the block memo
+    (``memo``) they were filled from.
+    """
+
+    __slots__ = ("stamp", "memo", "context", "codes", "entries", "callees", "ret_sites")
+
+    def __init__(self, stamp, context):
+        self.stamp = stamp
+        self.memo = _codes
+        self.context = context
+        self.codes = {}
+        self.entries = {}
+        self.callees = {}
+        self.ret_sites = {}
+
+
+def code_maps(image, costs, cet, dfi, cfi):
+    """The :class:`CodeMaps` of ``image`` under a context: fresh when the
+    module changed since they were filled (a new local moves frame
+    offsets) or the block memo was swapped (``tests.conftest.
+    reference_steps``)."""
+    per_image = _maps.get(image)
+    if per_image is None:
+        per_image = _maps[image] = {}
+    key = (costs, bool(cet), bool(dfi), bool(cfi))
+    stamp = module_stamp(image.module)
+    maps = per_image.get(key)
+    if maps is None or maps.memo is not _codes or maps.stamp != stamp:
+        maps = per_image[key] = CodeMaps(stamp, context_key(image, costs, cet, dfi, cfi))
+    return maps
 
 
 def function_code(func, base, context):
@@ -215,8 +264,9 @@ def _ret_site(image, return_addr):
 
 def _callee(cpu, target):
     """``(frame size, arity)`` of the function holding code address
-    ``target``, memoized in ``cpu._callees``; None if ``target`` is no
-    instruction address (``_step`` raises the fetch fault, or kills)."""
+    ``target``, memoized in ``cpu._callees`` (the image's code maps);
+    None if ``target`` is no instruction address (``_step`` raises the
+    fetch fault, or kills)."""
     try:
         func, _index = cpu.image.resolve_code(target)
     except ExecutionFault:

@@ -148,18 +148,21 @@ class CPU:
         self.hooks = {}
         self._halted = None
         self._entered = False
+        # The five below come from the code maps every CPU on this image
+        # and context shares (repro.vm.blocks.code_maps), taken at the
+        # first run.
         #: function name -> its shared compiled blocks (repro.vm.blocks)
-        self._codes = {}
+        self._codes = None
         #: code address -> (compiled blocks, function) holding it, for
         #: the addresses control transfers land on
-        self._entries = {}
+        self._entries = None
         #: code address -> (frame size, arity) of the function holding it,
         #: for the targets compiled indirect calls land on
-        self._callees = {}
+        self._callees = None
         #: memo key of everything blocks bake in beyond a function body
         self._context = None
         #: return address -> caller destination frame offset (0: none)
-        self._ret_sites = {}
+        self._ret_sites = None
         proc.cpu = self
 
     # ------------------------------------------------------------------
@@ -212,6 +215,13 @@ class CPU:
         preemption points, faults and cycles are the same either way.
         """
         if not self._entered:
+            options = self.options
+            maps = blocks.code_maps(
+                self.image, self.costs, options.cet, options.dfi, options.llvm_cfi
+            )
+            self._codes, self._entries = maps.codes, maps.entries
+            self._callees, self._ret_sites = maps.callees, maps.ret_sites
+            self._context = maps.context
             self._enter_main()
             self._entered = True
         proc = self.proc
@@ -299,11 +309,6 @@ class CPU:
         func = image.module.functions[name]
         code = self._codes.get(name)
         if code is None or code.body is not func.body or code.version != func.version:
-            if self._context is None:
-                options = self.options
-                self._context = blocks.context_key(
-                    image, self.costs, options.cet, options.dfi, options.llvm_cfi
-                )
             code = blocks.function_code(func, image.func_base[name], self._context)
             self._codes[name] = code
         entry = self._entries[rip] = (code, func)

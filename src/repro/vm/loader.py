@@ -12,13 +12,19 @@ Address-space layout (see DESIGN.md §6)::
 The image resolves code addresses back to ``(function, instruction index)``
 so the CPU, the monitor (decoding call kinds at unwound return addresses),
 and the attack scripts all share one source of truth for symbols.
+
+:func:`load_module` shares one image per module state (see
+:func:`repro.ir.validate.module_stamp`): every process launched from an
+unchanged module runs on the same image, and the VM shares its code maps
+per image (:mod:`repro.vm.blocks`).  ``Image(module)`` builds a private
+one.
 """
 
 import bisect
 
 from repro.errors import ExecutionFault, LoaderError
 from repro.ir.instructions import Call, CallIndirect
-from repro.ir.validate import validate_module
+from repro.ir.validate import module_stamp, validate_module
 from repro.vm.memory import WORD
 
 TEXT_BASE = 0x0040_0000
@@ -62,6 +68,10 @@ class Image:
 
         self.entry_addr = self.func_base[module.entry]
         self._base_keys = [b for b, _ in self._bases]
+        #: ``(address, words)`` per global, built at the first
+        #: :meth:`write_globals`; ``words`` is a tuple of ints, or the
+        #: list that holds a non-int
+        self._data = None
 
     # -- code resolution ---------------------------------------------------
 
@@ -128,14 +138,50 @@ class Image:
     # -- data ----------------------------------------------------------------
 
     def write_globals(self, memory):
-        """Materialize global initializers into ``memory``."""
-        for gvar in self.module.globals.values():
-            memory.write_block(self.global_addr[gvar.name], gvar.initial_words())
+        """Materialize global initializers into ``memory``.
+
+        The initializers are read, and their words checked, once per
+        image: a changed initializer needs a replaced ``GlobalVar`` (a new
+        module state, so :func:`load_module` lays out a new image), as a
+        changed body needs ``invalidate()``.  Each global then lands with
+        one dict update; one holding a non-int takes
+        :meth:`Memory.write_block <repro.vm.memory.Memory.write_block>`,
+        which raises its ``TypeError`` after the same partial writes.
+        """
+        data = self._data
+        if data is None:
+            data = self._data = []
+            for gvar in self.module.globals.values():
+                words = gvar.initial_words()
+                if all(isinstance(word, int) for word in words):
+                    words = tuple(words)
+                data.append((self.global_addr[gvar.name], words))
+        store = memory._words
+        for addr, words in data:
+            if type(words) is tuple:
+                store.update(zip(range(addr, addr + WORD * len(words), WORD), words))
+            else:
+                memory.write_block(addr, words)
 
 
 def load_module(module, memory=None):
-    """Validate + lay out ``module``; optionally write globals to memory."""
-    image = Image(module)
+    """The shared :class:`Image` of ``module``'s current state; optionally
+    write its globals to ``memory``.
+
+    Validation and layout run once per module state
+    (:func:`repro.ir.validate.module_stamp`); an unchanged module returns
+    the image it was last loaded as.
+    """
+    stamp = module_stamp(module)
+    # ``(stamp, image)`` lives on the module: the image refers to its
+    # module, so a weak-keyed table would keep every loaded module alive,
+    # while on the module the two form a cycle the collector frees.
+    loaded = getattr(module, "_loaded_image", None)
+    if loaded is not None and loaded[0] == stamp:
+        image = loaded[1]
+    else:
+        image = Image(module)
+        module._loaded_image = (stamp, image)
     if memory is not None:
         image.write_globals(memory)
     return image

@@ -5,12 +5,15 @@ from repro.attacks.runner import run_attack
 from repro.bench.harness import CONFIGS
 from repro.ir.builder import ModuleBuilder
 from repro.ir.callgraph import build_callgraph, cfi_equivalence_classes
+from repro.ir.function import Function
+from repro.ir.instructions import Imm, Ret, Syscall
 from repro.kernel.kernel import Kernel
 from repro.kernel.seccomp import (
     evaluate_filters,
     SECCOMP_RET_ALLOW,
     SECCOMP_RET_KILL_PROCESS,
 )
+from repro.mechanisms import baselines
 from repro.mechanisms.baselines import debloat_module
 from repro.policy import build_presence_filter
 from repro.syscalls.table import nr_of
@@ -57,6 +60,50 @@ class TestAllowlist:
         it still ALLOWS mprotect even from a hijacked path."""
         filt = _allowlist(_module())
         assert evaluate_filters([filt], nr_of("mprotect"))[0] == SECCOMP_RET_ALLOW
+
+
+class TestDerivedOncePerModuleState:
+    def _count_callgraphs(self, monkeypatch):
+        built = []
+
+        def counting(module):
+            built.append(module)
+            return build_callgraph(module)
+
+        monkeypatch.setattr(baselines, "build_callgraph", counting)
+        return built
+
+    def test_allowlist_launches_build_one_callgraph(self, monkeypatch):
+        built = self._count_callgraphs(monkeypatch)
+        module = _module()
+        for _ in range(2):
+            CONFIGS["seccomp_allowlist"].mechanism().launch(Kernel(), "m", module)
+        assert len(built) == 1
+
+    def test_temporal_relaunch_builds_no_callgraph(self, monkeypatch):
+        """The used syscalls and the phase split are each derived once."""
+        built = self._count_callgraphs(monkeypatch)
+        module = _module()
+        mechanisms = [CONFIGS["temporal"].mechanism() for _ in range(2)]
+        mechanisms[0].launch(Kernel(), "vsftpd", module)  # serving from main
+        first = len(built)
+        mechanisms[1].launch(Kernel(), "vsftpd", module)
+        assert len(built) == first == 2
+        assert mechanisms[0].init_only == mechanisms[1].init_only == {"execve"}
+
+    def test_replaced_function_adding_a_syscall_is_allowed(self):
+        module = _module()
+
+        def getpid_verdict():
+            proc, _cpu = CONFIGS["seccomp_allowlist"].mechanism().launch(Kernel(), "m", module)
+            return evaluate_filters(proc.seccomp_filters, nr_of("getpid"))[0]
+
+        assert getpid_verdict() == SECCOMP_RET_KILL_PROCESS
+        handler = Function("handler", params=["x"], sig="h1")
+        handler.append(Syscall("r", "getpid", []))
+        handler.append(Ret(Imm(0)))
+        module.functions["handler"] = handler
+        assert getpid_verdict() == SECCOMP_RET_ALLOW
 
 
 class TestDebloat:

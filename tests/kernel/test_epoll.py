@@ -178,8 +178,11 @@ class TestNonblocking:
         assert kernel.dispatch(proc, "fcntl", [fd, F_GETFL, 0]) == O_NONBLOCK
         assert kernel.dispatch(proc, "fcntl", [fd, F_SETFL, 0]) == 0
         assert not sock.nonblocking
-        # non-socket fds keep the historical always-0 fcntl
-        assert kernel.dispatch(proc, "fcntl", [999, F_GETFL, 0]) == 0
+        # open non-socket fds keep the historical always-0 fcntl; an fd
+        # that is not open fails as in Linux
+        epfd = kernel.dispatch(proc, "epoll_create1", [0])
+        assert kernel.dispatch(proc, "fcntl", [epfd, F_GETFL, 0]) == 0
+        assert kernel.dispatch(proc, "fcntl", [999, F_GETFL, 0]) == -errno.EBADF
 
 
 class TestFdLifecycle:

@@ -220,6 +220,66 @@ class TestSockets:
         assert kernel.dispatch(proc, "bind", [fd, BUF, 16]) == -errno.ENOTSOCK
 
 
+class TestSendfileUnwritableOut:
+    @pytest.mark.parametrize("out", ["directory", "pipe_read_end"])
+    def test_fails_with_ebadf_moving_nothing(self, setup, out):
+        """An out_fd not open for writing fails before in_fd is read: its
+        offset, the ledger and the destination stay as they were."""
+        kernel, proc = setup
+        in_fd = kernel.dispatch(proc, "open", [_cstr(proc, STR, "/tmp/data"), 0, 0])
+        if out == "directory":
+            out_fd = kernel.dispatch(proc, "open", [_cstr(proc, STR, "/tmp"), 0, 0])
+        else:
+            kernel.dispatch(proc, "pipe", [BUF])
+            out_fd = proc.memory.read(BUF)
+        before = proc.ledger.cycles
+        assert kernel.dispatch(proc, "sendfile", [out_fd, in_fd, 0, 4]) == -errno.EBADF
+        assert proc.fdtable.get(in_fd).pos == 0
+        assert proc.ledger.cycles == before
+        if out == "pipe_read_end":
+            assert proc.fdtable.get(out_fd).pipe.buffer == b""
+        assert kernel.dispatch(proc, "read", [in_fd, BUF, 4]) == 4
+        assert proc.memory.read(BUF) == ord("0")
+
+
+#: (syscall, fd kind, args after the fd, Linux's errno): socket calls on an
+#: fd that is not open, fcntl on one, and seeks on a socket
+_DESCRIPTOR_ERRNO_CASES = [
+    (name, "closed", rest, errno.EBADF)
+    for name, rest in (
+        ("fcntl", [1, 0]),
+        ("bind", [BUF, 16]),
+        ("listen", [16]),
+        ("accept", [0, 0]),
+        ("accept4", [0, 0, 0]),
+        ("connect", [BUF, 16]),
+        ("shutdown", [2]),
+    )
+] + [
+    (name, "socket", rest, errno.ESPIPE)
+    for name, rest in (
+        ("lseek", [2, 0]),
+        ("pread64", [BUF, 4, 1]),
+        ("pwrite64", [BUF, 4, 1]),
+    )
+]
+
+
+class TestDescriptorErrnos:
+    @pytest.mark.parametrize(
+        "name,kind,rest,expected",
+        _DESCRIPTOR_ERRNO_CASES,
+        ids=["%s-%s" % (case[0], case[1]) for case in _DESCRIPTOR_ERRNO_CASES],
+    )
+    def test_linux_errno(self, setup, name, kind, rest, expected):
+        kernel, proc = setup
+        fd = 999 if kind == "closed" else kernel.dispatch(proc, "socket", [2, 1, 0])
+        proc.memory.write_block(BUF, [2, 80, 0])
+        before = proc.ledger.cycles
+        assert kernel.dispatch(proc, name, [fd] + rest) == -expected
+        assert proc.ledger.cycles == before
+
+
 class TestNegativeWriteCount:
     """A count negative as a signed register is above SSIZE_MAX: the write
     fails with EFAULT, as Linux's access_ok makes it, and charges nothing."""
@@ -242,7 +302,8 @@ class TestNegativeWriteCount:
         fd = fds[target]
         expected = -errno.EFAULT
         if name == "pwrite64" and target != "file":
-            expected = -errno.EBADF  # pwrite64's fd check comes first
+            # pwrite64's fd checks come first: no fd at stdout, no seek on a socket
+            expected = -errno.ESPIPE if target == "socket" else -errno.EBADF
         before = proc.ledger.cycles
         args = [fd, BUF, -1, 0] if name == "pwrite64" else [fd, BUF, -1]
         assert kernel.dispatch(proc, name, args) == expected

@@ -2,8 +2,11 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.attacks.runner import _target_module
+from repro.bench.harness import CONFIGS
 from repro.kernel import seccomp
 from repro.kernel.bpf import BPF_JEQ, BPF_JMP, BPF_K, BPFProgram
 from repro.kernel.kernel import Kernel
@@ -21,6 +24,7 @@ from repro.kernel.seccomp import (
     compute_action_cache,
     evaluate_filters,
 )
+from repro.policy import artifact
 from repro.syscalls.table import SYSCALLS
 
 ALL_NRS = tuple(entry.nr for entry in SYSCALLS)
@@ -147,3 +151,48 @@ class TestActionCacheMemo:
                 if evaluate_filters([filt], nr)[0] & SECCOMP_RET_ACTION_FULL
                 == SECCOMP_RET_ALLOW
             }
+
+
+class TestSharedPrograms:
+    def test_program_is_immutable(self):
+        program = build_action_filter(ACTIONS).program
+        assert type(program.instructions) is tuple
+        assert type(BPFProgram(list(program.instructions)).instructions) is tuple
+
+    def test_equal_programs_hash_alike(self):
+        program = build_action_filter(ACTIONS).program
+        copy = BPFProgram(list(program.instructions))
+        assert copy is not program and copy == program and hash(copy) == hash(program)
+        assert copy != build_action_filter({59: SECCOMP_RET_TRACE}).program
+
+    @pytest.mark.parametrize(
+        "name, filters",
+        [
+            ("seccomp_allowlist", 1),
+            ("temporal", 2),  # the launch allowlist and the serving phase's
+            ("binary_only", 1),
+            ("sfip", 1),
+            ("sfip_origin", 1),
+        ],
+    )
+    def test_launches_build_one_program_per_filter(self, monkeypatch, name, filters):
+        """A second launch of a presence-filter mechanism gets fresh filters
+        on the programs the first one built."""
+        monkeypatch.setattr(seccomp, "_programs", {})
+        monkeypatch.setattr(artifact, "_presence_programs", {})
+        built = []
+        init = BPFProgram.__init__
+
+        def counting(program, instructions):
+            built.append(program)
+            init(program, instructions)
+
+        monkeypatch.setattr(BPFProgram, "__init__", counting)
+        module = _target_module("nginx")
+        procs = []
+        for _ in range(2):
+            mechanism = CONFIGS[name].mechanism()
+            procs.append(mechanism.launch(Kernel(), "nginx", module)[0])
+        assert len(built) == filters
+        first, second = (proc.seccomp_filters[0] for proc in procs)
+        assert first is not second and first.program is second.program

@@ -20,10 +20,11 @@ from repro.ir.builder import ModuleBuilder
 from repro.ir.instructions import Const, Ret, Var
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
+from repro.monitor.policy import ContextPolicy
 from repro.vm import blocks
 from repro.vm.costs import CostModel, CycleLedger
 from repro.vm.cpu import CPU, CPUOptions
-from repro.vm.loader import Image
+from repro.vm.loader import Image, load_module
 from repro.vm.memory import Memory
 from tests.conftest import reference_steps, run_module
 from tests.strategies import HOOK_POINT, poke, programs
@@ -149,6 +150,87 @@ class TestSharedMemo:
         second = run_attack(spec, None, "cet", defense=CONFIGS["cet"])
         assert _outcome(second) == _outcome(first)
         assert built == []
+
+    @pytest.mark.parametrize("mechanism", ["cet", "bastion"])
+    def test_second_attack_run_looks_no_code_up(self, monkeypatch, mechanism):
+        """Every CPU on one loaded image shares its code maps, so a repeat
+        of a run resolves no transfer target, return site or layout key."""
+        spec = attack_by_name("control_jujutsu")
+
+        def run():
+            if mechanism == "cet":
+                return run_attack(spec, None, "cet", defense=CONFIGS["cet"])
+            return run_attack(spec, ContextPolicy.full(), "bastion")
+
+        first = run()
+        looked_up = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                looked_up.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(CPU, "_code_at")
+        counting(blocks, "_ret_site")
+        counting(blocks, "context_key")
+        second = run()
+        assert _outcome(second) == _outcome(first)
+        assert looked_up == []
+
+    def test_reference_seam_steps_an_image_that_ran_compiled(self, monkeypatch):
+        """Code maps filled from the compiled memo are not used under
+        ``reference_steps()``: every step of the run takes ``_step``."""
+        spec = attack_by_name("control_jujutsu")
+        compiled = run_attack(spec, None, "cet", defense=CONFIGS["cet"])
+        cpus, stepped = [], []
+        init, step = CPU.__init__, CPU._step
+
+        def recording(cpu, *args, **kwargs):
+            init(cpu, *args, **kwargs)
+            cpus.append(cpu)
+
+        def counting(cpu, instr):
+            stepped.append(instr)
+            return step(cpu, instr)
+
+        monkeypatch.setattr(CPU, "__init__", recording)
+        monkeypatch.setattr(CPU, "_step", counting)
+        with reference_steps():
+            reference = run_attack(spec, None, "cet", defense=CONFIGS["cet"])
+        assert _outcome(reference) == _outcome(compiled)
+        assert len(stepped) == sum(cpu.stats.steps for cpu in cpus) > 0
+
+    def test_callee_frame_growth_on_the_same_image(self):
+        """A CPU built on an image whose module changed since its code maps
+        were filled starts fresh ones: the caller reserves the callee's new
+        frame, or the callee's own call overwrites the new local."""
+        mb = ModuleBuilder("m")
+        mb.function("leaf").ret(0)
+        callee = mb.function("callee", params=["x"])
+        callee.call("leaf", [], void=True)
+        callee.call("leaf", [], void=True)
+        callee.ret(callee.p("x"))
+        f = mb.function("main")
+        f.ret(f.call("callee", [41]))
+        module = mb.build()
+        image = load_module(module)
+
+        def run():
+            kernel = Kernel()
+            proc = kernel.create_process("m", image)
+            return CPU(image, proc, kernel).run().code
+
+        assert run() == 41
+        func = module.functions["callee"]
+        func.body[0] = Const("y", 7)  # same length: the image's layout holds
+        func.body[-1] = Ret(Var("y"))
+        func.invalidate()
+        assert func.frame_size == 2
+        assert run() == 7
 
     def test_blocks_capture_no_run_state(self):
         status, _proc, cpu = run_module(_loop_module(), options=CPUOptions(cet=True, dfi=True))

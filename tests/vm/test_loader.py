@@ -1,9 +1,17 @@
 """Tests for image layout and code-address resolution."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ExecutionFault, IRValidationError
 from repro.ir.builder import ModuleBuilder
+from repro.ir.function import Function
+from repro.ir.instructions import Ret, Var
+from repro.ir.types import GlobalVar
+from repro.kernel.kernel import Kernel
+from repro.vm.cpu import CPU
 from repro.vm.loader import (
     DATA_BASE,
     Image,
@@ -184,3 +192,96 @@ class TestGlobalsMaterialization:
         hello = image.global_addr["hello"]
         assert memory.read_cstr(hello) == "hi"
         assert memory.read(image.global_addr["counter"]) == 7
+
+
+def _per_global_reference(image, memory):
+    """``write_globals`` as one ``write_block`` of each global's words."""
+    for gvar in image.module.globals.values():
+        memory.write_block(image.global_addr[gvar.name], gvar.initial_words())
+
+
+def _replace_callee(module):
+    func = Function("callee", params=["x"])
+    func.append(Ret(Var("x")))
+    module.functions["callee"] = func
+
+
+def _resize_global(module):
+    module.globals["counter"].size = 4
+
+
+def _replace_global(module):
+    module.globals["counter"] = GlobalVar("counter", init=8)
+
+
+class TestImageMemo:
+    """``load_module`` shares one image per module state."""
+
+    def test_unchanged_module_loads_one_image(self):
+        module = _module()
+        assert load_module(module) is load_module(module)
+        assert load_module(module) is not Image(module)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda module: module.functions["callee"].invalidate(),
+            _replace_callee,
+            _resize_global,
+            _replace_global,
+        ],
+        ids=["invalidate", "replaced-function", "resized-global", "replaced-global"],
+    )
+    def test_changed_module_loads_a_new_image(self, change):
+        module = _module()
+        before = load_module(module)
+        change(module)
+        after = load_module(module)
+        assert after is not before
+        assert after is load_module(module)
+        memory, reference = Memory(), Memory()
+        after.write_globals(memory)
+        _per_global_reference(Image(module), reference)
+        assert memory._words == reference._words
+
+    def test_dropped_module_and_image_are_collected(self):
+        """Neither the image memo nor the code maps of a run on the image
+        keep a dropped module alive."""
+        module = _module()
+        image = load_module(module)
+        kernel = Kernel()
+        proc = kernel.create_process("m", image)
+        assert CPU(image, proc, kernel).run().kind == "returned"
+        dead = weakref.ref(module), weakref.ref(image)
+        del module, image, kernel, proc
+        gc.collect()
+        assert [ref() for ref in dead] == [None, None]
+
+
+class TestGlobalsPrecomputed:
+    def test_equals_per_global_write_block(self):
+        module = _module()
+        module.add_global(GlobalVar("table", size=6, init=[3, -1, 1 << 70, True]))
+        module.add_global(GlobalVar("zeros", size=3))
+        image = load_module(module)
+        for _ in range(2):  # the first write builds the data, the second reuses it
+            memory, reference = Memory(), Memory()
+            reference._words[8] = memory._words[8] = 99  # earlier contents stay
+            image.write_globals(memory)
+            _per_global_reference(image, reference)
+            assert list(memory._words.items()) == list(reference._words.items())
+
+    def test_non_int_word_raises_after_the_same_partial_writes(self):
+        module = _module()
+        module.add_global(GlobalVar("bad", init=[5, 6, "x", 7]))
+        module.add_global(GlobalVar("after", init=9))
+        image = load_module(module)
+        memory, reference = Memory(), Memory()
+        with pytest.raises(TypeError) as raised:
+            image.write_globals(memory)
+        with pytest.raises(TypeError) as expected:
+            _per_global_reference(image, reference)
+        assert str(raised.value) == str(expected.value)
+        assert list(memory._words.items()) == list(reference._words.items())
+        assert memory.read(image.global_addr["bad"] + WORD) == 6
+        assert memory.read(image.global_addr["after"]) == 0
