@@ -319,6 +319,17 @@ def recover_image(image):
     )
 
 
+def recovery_for(image):
+    """:func:`recover_image` of ``image``, run once per image."""
+    return image.derive("binary-recovery", recover_image)
+
+
+def recover_image_for(module):
+    """The binary tables recovered from ``module``'s current state (its
+    loaded image)."""
+    return recovery_for(load_module(module))
+
+
 # ---------------------------------------------------------------------------
 # the binary policy producer
 # ---------------------------------------------------------------------------
@@ -391,18 +402,11 @@ def compile_policy(recovery, program=None):
     )
 
 
-_policy_cache = {}
-
-
-def policy_for_image(module):
-    """Compile (and cache) the binary-produced policy for a module."""
-    key = id(module)
-    cached = _policy_cache.get(key)
-    if cached is None or cached[0] is not module:
-        recovery = recover_image_for(module)
-        cached = (module, compile_policy(recovery))
-        _policy_cache[key] = cached
-    return cached[1]
+def policy_for_image(image):
+    """The binary-produced policy of ``image``, compiled once per image."""
+    return image.derive(
+        "binary-policy", lambda image: compile_policy(recovery_for(image))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,17 +542,6 @@ def audit_binary(artifact):
 # ---------------------------------------------------------------------------
 # precision report
 # ---------------------------------------------------------------------------
-
-_recovery_cache = {}
-
-
-def recover_image_for(module):
-    """Recover (and cache) the binary tables for a module's loaded image."""
-    image = load_module(module)
-    cached = _recovery_cache.get(id(module))
-    if cached is None or cached.image is not image:
-        cached = _recovery_cache[id(module)] = recover_image(image)
-    return cached
 
 
 def _kind_list(entry):

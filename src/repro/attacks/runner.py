@@ -246,11 +246,13 @@ def run_attack(spec, policy=None, defense_name=None, defense=None, quantum=None)
     determinism rests on this, see tests/attacks/test_scheduled.py).
     """
     target = TARGETS[spec.target]
-    name = defense_name or (policy.label() if policy else "none")
     if defense is None:
+        name = defense_name or (policy.label() if policy else "none")
         defense = DefenseConfig(
             name, policy=policy, extend_filesystem=spec.needs_fs_extension
         )
+    else:
+        name = defense_name or defense.name
     kernel = Kernel()
     target.prepare_env(kernel)
     mechanism = defense.mechanism()

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from repro.ir.callgraph import build_callgraph
 from repro.ir.instructions import Call, CallIndirect
-from repro.ir.validate import validate_module
 from repro.compiler.argint import analyze_argument_integrity
 from repro.compiler.calltype import analyze_call_types
 from repro.compiler.cfg import analyze_control_flow
@@ -86,7 +85,7 @@ class BastionCompiler:
 
     def compile(self, module):
         """Run all analyses + instrumentation; returns a :class:`BastionArtifact`."""
-        validate_module(module)
+        load_module(module)  # validates the input, once per module state
         self._emit("validate", module)
         callgraph = build_callgraph(module)
         self._emit("callgraph", callgraph)

@@ -51,8 +51,13 @@ class Module:
         return self.types.get(name)
 
     def clone(self):
-        """Deep copy — the instrumenter works on a copy, never in place."""
-        return copy.deepcopy(self)
+        """Deep copy of the program — the instrumenter works on a copy,
+        never in place — without the loader's record of it (its image)."""
+        new = Module(self.name, self.entry)
+        new.functions, new.globals, new.types = copy.deepcopy(
+            (self.functions, self.globals, self.types)
+        )
+        return new
 
     def instruction_count(self):
         return sum(len(f.body) for f in self.functions.values())

@@ -4,8 +4,6 @@ Run before loading: catches malformed programs early with precise messages
 instead of confusing interpreter faults later.
 """
 
-import weakref
-
 from repro.errors import IRValidationError
 from repro.ir.dataflow import build_block_graph, definitely_assigned
 from repro.ir.instructions import (
@@ -37,9 +35,6 @@ _KNOWN_INTRINSICS = set(HARNESS_INTRINSICS) | {
     CTX_BIND_CONST,
 }
 
-#: module -> stamp (see :func:`module_stamp`) of the state it last passed in full
-_validated = weakref.WeakKeyDictionary()
-
 
 def validate_module(module):
     """Validate ``module``; raises :class:`IRValidationError` on problems.
@@ -49,34 +44,31 @@ def validate_module(module):
     operators are known; functions end in a terminator; globals referenced
     by AddrGlobal exist.
 
-    Each module state is checked once: a module unchanged since it last
-    passed returns at once.  Change a body through ``Function.append``,
-    ``invalidate()`` or replacement, as the VM's block memo also
-    requires; an in-place edit that keeps its length and version is not
-    seen.
+    Every call checks the whole module.  The loader calls it once per
+    module state, when :func:`repro.vm.loader.load_module` lays out a new
+    image.
 
     Returns the module (for chaining).
     """
-    stamp = module_stamp(module)
-    if _validated.get(module) == stamp:
-        return module
     if module.entry not in module.functions:
         raise IRValidationError(
             "module %s has no entry function %r" % (module.name, module.entry)
         )
     for func in module.functions.values():
         _validate_function(module, func)
-    _validated[module] = stamp
     return module
 
 
 def module_stamp(module):
     """What validation and the loader read of ``module``.
 
-    The memos of module derivations (validation here, the loader's
-    image, the VM's code maps, the baselines' syscall sets) hold while
-    this stamp is equal.  Functions, bodies and globals are held as
-    objects, so a replaced one can never match through a reused ``id``.
+    The one staleness rule for what is derived from a module:
+    :func:`repro.vm.loader.load_module` keeps one image, and everything
+    derived on it, per stamp.  Change a body through ``Function.append``,
+    ``invalidate()`` or replacement; an in-place edit that keeps its
+    length and version is not seen.  Functions, bodies and globals are
+    held as objects, so a replaced one can never match through a reused
+    ``id``.
     """
     return (
         module.entry,

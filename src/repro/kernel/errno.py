@@ -27,6 +27,7 @@ ENOTEMPTY = 39
 ENOTSOCK = 88
 EOPNOTSUPP = 95
 EADDRINUSE = 98
+ENOTCONN = 107
 ECONNREFUSED = 111
 
 _NAMES = {

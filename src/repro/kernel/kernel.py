@@ -110,15 +110,11 @@ class _PipeEnd:
         self.readable = readable
 
     def read(self, count):
-        if not self.readable:
-            return None
         chunk = self.pipe.buffer[:count]
         self.pipe.buffer = self.pipe.buffer[count:]
         return chunk
 
     def write(self, data):
-        if self.readable:
-            return -errno.EBADF
         self.pipe.buffer += data
         return len(data)
 
@@ -529,6 +525,7 @@ class Kernel:
             if (
                 isinstance(sock, Socket)
                 and not sock.nonblocking
+                and self._arg(args, 2) >= 0  # a negative count fails at once
                 and sock.connection is not None
                 and not sock.connection.inbox
                 and not sock.connection.closed
@@ -612,14 +609,23 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _sys_read(self, proc, args):
+        """read(fd, buf, count).  The errnos come in Linux's order: EBADF
+        (no such fd, or a pipe's write end), EINVAL (an epoll fd), EFAULT
+        (a count negative as a signed register fails Linux's access_ok),
+        then the description's own (EISDIR; ENOTCONN for a socket with no
+        connection).  A failed read moves and charges nothing."""
         fd, buf, count = (self._arg(args, i) for i in range(3))
         desc = proc.fdtable.get(fd)
-        if desc is None:
+        if desc is None or (isinstance(desc, _PipeEnd) and not desc.readable):
             return -errno.EBADF
+        if isinstance(desc, Epoll):
+            return -errno.EINVAL
+        if count < 0:
+            return -errno.EFAULT
         if isinstance(desc, Socket):
-            if desc.connection is None:
-                return -errno.ENOTSOCK
             conn = desc.connection
+            if conn is None:
+                return -errno.ENOTCONN
             if desc.nonblocking and not conn.inbox and not conn.closed:
                 return -errno.EAGAIN
             chunk = conn.take(count)
@@ -627,15 +633,6 @@ class Kernel:
             self.net.account_recv(len(chunk))
             self._charge_net(proc, len(chunk))
             return len(chunk)
-        if isinstance(desc, _PipeEnd):
-            chunk = desc.read(count)
-            if chunk is None:
-                return -errno.EBADF
-            self._copy_bytes_to_user(proc, buf, chunk)
-            self._charge_io(proc, len(chunk))
-            return len(chunk)
-        if isinstance(desc, Epoll):
-            return -errno.EINVAL
         chunk = desc.read(count)
         if chunk is None:
             return -errno.EISDIR
@@ -644,9 +641,11 @@ class Kernel:
         return len(chunk)
 
     def _sys_write(self, proc, args):
-        """write(fd, buf, count).  A count negative as a signed register is
-        above SSIZE_MAX: Linux's access_ok fails it with EFAULT after the fd
-        checks, before any byte is charged."""
+        """write(fd, buf, count).  The errnos come in Linux's order: EBADF
+        (no such fd, or a pipe's read end), EINVAL (an epoll fd), EFAULT
+        (a count negative as a signed register, above SSIZE_MAX, fails
+        Linux's access_ok), then EPIPE for a socket with no connection
+        (SIGPIPE is not modeled).  A failed write charges nothing."""
         fd, buf, count = (self._arg(args, i) for i in range(3))
         desc = proc.fdtable.get(fd)
         if desc is None:
@@ -657,13 +656,15 @@ class Kernel:
                 return -errno.EFAULT
             self._charge_io(proc, count)
             return count
-        prefix = self._read_bytes_from_user(proc, buf, count)
-        if isinstance(desc, Socket) and desc.connection is None:
-            return -errno.ENOTSOCK
+        if isinstance(desc, _PipeEnd) and desc.readable:
+            return -errno.EBADF
         if isinstance(desc, Epoll):
             return -errno.EINVAL
         if count < 0:
             return -errno.EFAULT
+        if isinstance(desc, Socket) and desc.connection is None:
+            return -errno.EPIPE
+        prefix = self._read_bytes_from_user(proc, buf, count)
         if isinstance(desc, Socket):
             self.net.account_send(count)
             self._charge_net(proc, count)
@@ -748,12 +749,18 @@ class Kernel:
         return desc.seek(offset, whence)
 
     def _sys_pread(self, proc, args):
+        """pread64(fd, buf, count, offset).  Linux's errno order: EINVAL
+        (negative offset), EBADF, ESPIPE, EFAULT (negative count), EISDIR."""
         fd, buf, count, offset = (self._arg(args, i) for i in range(4))
+        if offset < 0:
+            return -errno.EINVAL
         desc = proc.fdtable.get(fd)
         if desc is None:
             return -errno.EBADF
         if not isinstance(desc, OpenFile):
             return -errno.ESPIPE
+        if count < 0:
+            return -errno.EFAULT
         saved = desc.pos
         desc.pos = offset
         chunk = desc.read(count)
@@ -766,6 +773,8 @@ class Kernel:
 
     def _sys_pwrite(self, proc, args):
         fd, buf, count, offset = (self._arg(args, i) for i in range(4))
+        if offset < 0:
+            return -errno.EINVAL  # as in _sys_pread
         desc = proc.fdtable.get(fd)
         if desc is None:
             return -errno.EBADF
@@ -833,15 +842,21 @@ class Kernel:
         return new_fd
 
     def _sys_sendfile(self, proc, args):
-        """sendfile(out_fd, in_fd, offset, count).  As in Linux, an out_fd
-        not open for writing (a directory, a pipe's read end) fails with
-        EBADF before a byte moves."""
+        """sendfile(out_fd, in_fd, offset, count).  As in Linux, every check
+        comes before a byte moves: EBADF for a bad in_fd, EINVAL for a
+        count negative as a signed register, EBADF for an out_fd not open
+        for writing (a directory, a pipe's read end), EINVAL for an in_fd
+        that is not a regular file or an epoll out_fd, and EPIPE for a
+        socket with no connection (SIGPIPE is not modeled)."""
         out_fd, in_fd, _off_ptr, count = (self._arg(args, i) for i in range(4))
         src = proc.fdtable.get(in_fd)
+        if src is None:
+            return -errno.EBADF
+        if count < 0:
+            return -errno.EINVAL
         dst = proc.fdtable.get(out_fd)
         if (
-            src is None
-            or dst is None
+            dst is None
             or (isinstance(dst, _PipeEnd) and dst.readable)
             or (isinstance(dst, OpenFile) and dst.node.kind != "file")
         ):
@@ -852,12 +867,12 @@ class Kernel:
             or isinstance(dst, Epoll)
         ):
             return -errno.EINVAL
+        if isinstance(dst, Socket) and dst.connection is None:
+            return -errno.EPIPE
         chunk = src.read(count)
         nbytes = len(chunk)
         self._charge_io(proc, nbytes)
         if isinstance(dst, Socket):
-            if dst.connection is None:
-                return -errno.ENOTSOCK
             self.net.account_send(nbytes)
             self._charge_net(proc, nbytes)
             dst.connection.server_write(nbytes, chunk[:ELIDE_BYTES])

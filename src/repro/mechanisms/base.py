@@ -16,21 +16,19 @@ from repro.compiler.pipeline import BastionCompiler
 from repro.vm.cpu import CPU
 from repro.vm.loader import load_module
 
-_artifact_cache = {}
 
+def artifact_for(image, extend_filesystem=False):
+    """The BASTION artifact of ``image``'s module, compiled once per image
+    (:meth:`~repro.vm.loader.Image.derive`) and extension set.
 
-def artifact_for(app, module, extend_filesystem=False):
-    """Compile (and cache) the BASTION artifact for an app module.
-
-    The one artifact cache: BASTION enforces, and SFIP derives its
-    policy from, the same object per (app, module, extension set).
+    BASTION enforces, and SFIP derives its policy from, the same object.
     """
-    key = (app, id(module), extend_filesystem)
-    if key not in _artifact_cache:
-        _artifact_cache[key] = BastionCompiler(
+    return image.derive(
+        ("artifact", extend_filesystem),
+        lambda image: BastionCompiler(
             extend_filesystem=extend_filesystem
-        ).compile(module)
-    return _artifact_cache[key]
+        ).compile(image.module),
+    )
 
 
 class ProtectionMechanism:
@@ -64,7 +62,7 @@ class ProtectionMechanism:
     def launch(self, kernel, app, module):
         """Create the protected root process; returns ``(proc, cpu)``."""
         image = load_module(self.target_module(app, module))
-        #: the loaded image, for mechanisms that analyze the binary itself
+        #: the loaded image, which ``install`` derives its policy from
         self.image = image
         proc = kernel.create_process(app, image)
         cpu = CPU(image, proc, kernel, self.cpu_options())

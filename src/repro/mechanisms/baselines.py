@@ -17,15 +17,14 @@ public surfaces — no harness branches, no kernel special cases:
   cfi_equivalence_classes` sizes them).
 """
 
-import weakref
 from dataclasses import dataclass, field
 
 from repro.ir.callgraph import build_callgraph, wrapper_map
 from repro.ir.instructions import Call, Syscall
-from repro.ir.validate import module_stamp
 from repro.mechanisms.base import ProtectionMechanism
 from repro.policy import build_presence_filter
 from repro.syscalls.sensitive import SENSITIVE_SYSCALLS
+from repro.vm.loader import load_module
 
 #: app entry functions reachable only after the serving phase begins.
 #: vsftpd's accept loop lives in ``main`` itself, so its "serving" phase
@@ -99,33 +98,28 @@ def debloat_module(module):
     return new_module, report
 
 
-#: input module -> ``(module_stamp(module), {derivation: result})``: the
-#: debloated module (so every launch loads one shared debloated module,
-#: and the loader lays it out once), the used syscalls and the phase split
-#: per set of serving roots, each derived once per module state
-_derived = weakref.WeakKeyDictionary()
+def used_syscalls(image):
+    """Every syscall ``image``'s module has a site for, once per image."""
+    return image.derive(
+        "used-syscalls",
+        lambda image: frozenset(build_callgraph(image.module).syscall_sites),
+    )
 
 
-def _derive(module, key, derive, *args):
-    """``derive(module, *args)`` for ``module``'s current state, memoized
-    under ``key``."""
-    stamp = module_stamp(module)
-    entry = _derived.get(module)
-    if entry is None or entry[0] != stamp:
-        entry = _derived[module] = (stamp, {})
-    results = entry[1]
-    if key not in results:
-        results[key] = derive(module, *args)
-    return results[key]
+def phase_split(image, roots):
+    """:func:`phase_syscalls` of ``image``'s module as frozensets, once per
+    image and set of serving roots."""
+    return image.derive(
+        ("phase-split", roots),
+        lambda image: tuple(map(frozenset, phase_syscalls(image.module, roots))),
+    )
 
 
-def _used_syscalls(module):
-    return frozenset(build_callgraph(module).syscall_sites)
-
-
-def _phase_sets(module, roots):
-    init_only, serving = phase_syscalls(module, roots)
-    return frozenset(init_only), frozenset(serving)
+def debloated_for(image):
+    """:func:`debloat_module` of ``image``'s module, once per image: every
+    launch loads one shared debloated module, which the loader lays out
+    once."""
+    return image.derive("debloat", lambda image: debloat_module(image.module))
 
 
 class StaticMechanism(ProtectionMechanism):
@@ -136,7 +130,7 @@ class SeccompAllowlistMechanism(ProtectionMechanism):
     """Static syscall allowlist: KILL anything the program never calls."""
 
     def install(self, kernel, proc, app, module):
-        allowed = _derive(module, "used", _used_syscalls)
+        allowed = used_syscalls(self.image)
         kernel.install_seccomp(proc, build_presence_filter(allowed, "allowlist"))
 
 
@@ -161,7 +155,7 @@ class TemporalMechanism(SeccompAllowlistMechanism):
         roots = SERVING_ROOTS.get(app)
         if roots is None:
             return
-        init_only, serving_set = _derive(module, ("phases", roots), _phase_sets, roots)
+        init_only, serving_set = phase_split(self.image, roots)
         serving = build_presence_filter(serving_set, "temporal-serving")
         self.serving_filter = serving
         self.init_only = init_only
@@ -182,5 +176,5 @@ class DebloatMechanism(ProtectionMechanism):
         self.report = None
 
     def target_module(self, app, module):
-        debloated, self.report = _derive(module, "debloat", debloat_module)
+        debloated, self.report = debloated_for(load_module(module))
         return debloated

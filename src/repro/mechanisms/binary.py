@@ -30,7 +30,7 @@ need compiler-observed value provenance).  That is the degraded-but-sound
 middle row between ``seccomp_allowlist`` and ``bastion`` in Table 6.
 """
 
-from repro.analyze.binary import policy_for_image, recover_image_for
+from repro.analyze.binary import policy_for_image, recovery_for
 from repro.errors import ProcessKilled, SegmentationFault
 from repro.mechanisms.base import ProtectionMechanism
 from repro.policy import build_presence_filter
@@ -53,8 +53,8 @@ class BinaryOnlyMechanism(ProtectionMechanism):
     def install(self, kernel, proc, app, module):
         # ``launch`` stashed the image it loaded — recover from exactly
         # the bytes the process runs, nothing else.
-        recovery = recover_image_for(self.image.module)
-        policy = policy_for_image(self.image.module)
+        recovery = recovery_for(self.image)
+        policy = policy_for_image(self.image)
         self.recovery = recovery
         self.policy = policy
         kernel.install_seccomp(

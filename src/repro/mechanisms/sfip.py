@@ -49,26 +49,25 @@ from repro.errors import ProcessKilled
 from repro.mechanisms.base import ProtectionMechanism, artifact_for
 from repro.policy import START, build_presence_filter
 
-_sfip_policy_cache = {}
 
-
-def sfip_policy_for(app, module):
-    """The flowgraph-produced policy for the *vanilla* module (cached).
+def sfip_policy_for(image):
+    """The flowgraph-produced policy of ``image``'s *vanilla* module,
+    compiled once per image.
 
     SFIP needs no instrumentation: the state machine only observes
-    dispatches.  The metadata comes from the cached BASTION compile; the
-    flow engine runs over the vanilla module the mechanism actually
-    loads (names and call structure are identical either way).
+    dispatches.  The metadata comes from the BASTION artifact of the
+    same image; the flow engine runs over the vanilla module the
+    mechanism actually loads (names and call structure are identical
+    either way).
     """
-    from repro.analyze.flowgraph import compile_policy
+    from repro.analyze import flowgraph
 
-    key = (app, id(module))
-    cached = _sfip_policy_cache.get(key)
-    if cached is None or cached[0] is not module:
-        artifact = artifact_for(app, module)
-        cached = (module, compile_policy(artifact, module=module))
-        _sfip_policy_cache[key] = cached
-    return cached[1]
+    return image.derive(
+        "sfip-policy",
+        lambda image: flowgraph.compile_policy(
+            artifact_for(image), module=image.module
+        ),
+    )
 
 
 class SfipMechanism(ProtectionMechanism):
@@ -87,7 +86,7 @@ class SfipMechanism(ProtectionMechanism):
         self.kills = 0
 
     def install(self, kernel, proc, app, module):
-        policy = sfip_policy_for(app, module)
+        policy = sfip_policy_for(self.image)
         self.policy = policy
         kernel.install_seccomp(
             proc, build_presence_filter(policy.presence, self.reason)

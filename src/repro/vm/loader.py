@@ -14,9 +14,11 @@ so the CPU, the monitor (decoding call kinds at unwound return addresses),
 and the attack scripts all share one source of truth for symbols.
 
 :func:`load_module` shares one image per module state (see
-:func:`repro.ir.validate.module_stamp`): every process launched from an
-unchanged module runs on the same image, and the VM shares its code maps
-per image (:mod:`repro.vm.blocks`).  ``Image(module)`` builds a private
+:func:`repro.ir.validate.module_stamp`), the one memo of that state: it
+validates the module once, every process launched from the unchanged
+module runs on it, and :meth:`Image.derive` keeps what launches and
+analyzers derive from the state (artifact, policies, syscall sets).  A
+changed module loads as a new image.  ``Image(module)`` builds a private
 one.
 """
 
@@ -72,6 +74,17 @@ class Image:
         #: :meth:`write_globals`; ``words`` is a tuple of ints, or the
         #: list that holds a non-int
         self._data = None
+        #: key -> result, for :meth:`derive`
+        self._derived = {}
+
+    def derive(self, key, fn):
+        """``fn(self)``, computed once per image under ``key`` (the
+        derivation and its parameters).  Call it on an image
+        :func:`load_module` just returned, so the result is of the
+        module's current state."""
+        if key not in self._derived:
+            self._derived[key] = fn(self)
+        return self._derived[key]
 
     # -- code resolution ---------------------------------------------------
 
@@ -168,9 +181,9 @@ def load_module(module, memory=None):
     """The shared :class:`Image` of ``module``'s current state; optionally
     write its globals to ``memory``.
 
-    Validation and layout run once per module state
-    (:func:`repro.ir.validate.module_stamp`); an unchanged module returns
-    the image it was last loaded as.
+    Validation, layout and every :meth:`Image.derive` result run once per
+    module state (:func:`repro.ir.validate.module_stamp`); an unchanged
+    module returns the image it was last loaded as.
     """
     stamp = module_stamp(module)
     # ``(stamp, image)`` lives on the module: the image refers to its

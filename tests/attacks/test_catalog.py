@@ -5,6 +5,7 @@ import pytest
 
 from repro.attacks.catalog import CATALOG, attack_by_name
 from repro.attacks.runner import evaluate_attack, run_attack
+from repro.bench.harness import CONFIGS
 from repro.monitor.policy import ContextPolicy
 
 
@@ -102,3 +103,15 @@ def test_blocked_by_attribution():
     assert outcome.blocked_by == "control-flow"
     outcome = run_attack(spec, ContextPolicy.ai_only(), "AI")
     assert outcome.blocked_by == "arg-integrity"
+
+
+def test_outcome_is_labelled_with_its_defense():
+    """Without a ``defense_name``, an outcome carries the name of the
+    defense it ran under, else the policy's label, else ``none``."""
+    from repro.bench.harness import CONFIGS
+
+    spec = attack_by_name("control_jujutsu")
+    assert run_attack(spec, defense=CONFIGS["sfip"]).defense == "sfip"
+    assert run_attack(spec, ContextPolicy.ct_only()).defense == "CT"
+    assert run_attack(spec).defense == "none"
+    assert run_attack(spec, defense=CONFIGS["sfip"], defense_name="x").defense == "x"

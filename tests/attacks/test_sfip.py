@@ -181,10 +181,10 @@ class TestDivergences:
         execve rides an adjacency the flowgraph producer recorded as
         legal for nginx (ngx_execute_proc is reachable code)."""
         from repro.mechanisms.sfip import sfip_policy_for
+        from repro.vm.loader import load_module
 
         spec = attack_by_name("rop_execute_user_command")
-        module = _target_module(spec.target)
-        policy = sfip_policy_for(spec.target, module)
+        policy = sfip_policy_for(load_module(_target_module(spec.target)))
         assert "execve" in policy.presence
         legal_prevs = {
             prev

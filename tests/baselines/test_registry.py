@@ -21,6 +21,7 @@ from repro.mechanisms import FUZZ_MATRIX, MECHANISM_NAMES, MECHANISMS
 from repro.mechanisms.base import ProtectionMechanism, artifact_for
 from repro.mechanisms.bastion import BastionMechanism
 from repro.monitor.policy import ContextPolicy
+from repro.vm.loader import load_module
 
 
 def test_mechanism_names_cover_the_registry():
@@ -137,7 +138,8 @@ def test_every_attack_run_launches_through_a_mechanism(monkeypatch):
 
 def test_bastion_attack_runs_enforce_the_shared_artifact():
     """BASTION attack runs enforce the artifact SFIP derives its policy
-    from: one compile per target, from ``mechanisms.base.artifact_for``."""
+    from: one compile per target module state, from
+    ``mechanisms.base.artifact_for`` on its loaded image."""
     spec = attack_by_name("control_jujutsu")
     enforced = []
 
@@ -149,4 +151,4 @@ def test_bastion_attack_runs_enforce_the_shared_artifact():
         dataclasses.replace(spec, stage=stage), ContextPolicy.full(), "full"
     )
     assert outcome.blocked
-    assert enforced[0] is artifact_for(spec.target, _target_module(spec.target))
+    assert enforced[0] is artifact_for(load_module(_target_module(spec.target)))

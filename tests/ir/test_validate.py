@@ -17,6 +17,7 @@ from repro.ir.instructions import (
     Var,
 )
 from repro.ir.validate import validate_module
+from repro.vm.loader import load_module
 
 
 def _module_with_main():
@@ -213,7 +214,7 @@ def test_address_taken_local_accepted():
 
 
 # ---------------------------------------------------------------------------
-# the validation memo: one full check per module state
+# one full check per module state: the loader validates each image it lays out
 # ---------------------------------------------------------------------------
 
 
@@ -237,10 +238,12 @@ def test_unchanged_module_is_validated_once(monkeypatch):
 
     monkeypatch.setattr(validate, "_validate_function", counting)
     module = _caller_module()
-    assert validate_module(module) is module
+    image = load_module(module)
     assert checked == ["helper", "main"]
-    assert validate_module(module) is module
+    assert load_module(module) is image
     assert checked == ["helper", "main"]
+    assert validate_module(module) is module  # the plain check, every call
+    assert checked == ["helper", "main"] * 2
 
 
 def _append_bad_binop(module):
@@ -268,9 +271,10 @@ def _replace_body_keeping_length(module):
 )
 def test_mutated_module_is_validated_again(mutate):
     """A module that changed through ``append``, a deleted function or a
-    replaced body is checked again in full, never served from the memo."""
+    replaced body is checked again in full when it loads, never served
+    from its earlier image."""
     module = _caller_module()
-    validate_module(module)
+    load_module(module)
     message = mutate(module)
     with pytest.raises(IRValidationError, match=message):
-        validate_module(module)
+        load_module(module)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProcessKilled
+from repro.errors import ProcessKilled, WouldBlock
 from repro.ir.builder import ModuleBuilder
 from repro.kernel import errno
 from repro.kernel.kernel import ELIDE_BYTES, Kernel
@@ -321,6 +321,124 @@ class TestNegativeWriteCount:
         f.ret(f.call("write", [1, f.addr_global("msg"), n]))
         status, _proc, _cpu = run_module(mb.build())
         assert (status.kind, status.code) == ("returned", -errno.EFAULT)
+
+
+def _descriptors(kernel, proc):
+    """One fd of each kind, by name: a regular file, a directory, both ends
+    of a pipe holding 8 bytes, an epoll fd, a fresh and a listening socket
+    (neither has a connection), and a connected socket holding 5 bytes."""
+    fds = {"closed": 999}
+    fds["file"] = kernel.dispatch(proc, "open", [_cstr(proc, STR, "/tmp/data"), 0, 0])
+    fds["directory"] = kernel.dispatch(proc, "open", [_cstr(proc, STR, "/tmp"), 0, 0])
+    kernel.dispatch(proc, "pipe", [BUF])
+    fds["pipe_read"], fds["pipe_write"] = proc.memory.read_block(BUF, 2)
+    assert kernel.dispatch(proc, "write", [fds["pipe_write"], BUF, 8]) == 8
+    fds["epoll"] = kernel.dispatch(proc, "epoll_create1", [0])
+    fds["socket"] = kernel.dispatch(proc, "socket", [2, 1, 0])
+    fds["listening"] = TestSockets()._listening(kernel, proc)
+    conn = Connection()
+    conn.deliver(b"hello")
+    kernel.net.backlog_provider = lambda sock: conn
+    fds["connected"] = kernel.dispatch(proc, "accept", [fds["listening"], 0, 0])
+    return fds, conn
+
+
+#: (syscall, fd kind, args after the fd, Linux's errno), each checked on
+#: Linux 6.18: a negative count fails with EFAULT (EINVAL for sendfile)
+#: after the fd checks, and I/O on a socket with no connection fails
+_IO_ERRNO_CASES = [
+    ("read", kind, [BUF, -1], expected)
+    for kind, expected in (
+        ("closed", errno.EBADF),
+        ("pipe_write", errno.EBADF),
+        ("epoll", errno.EINVAL),
+        ("file", errno.EFAULT),
+        ("directory", errno.EFAULT),
+        ("pipe_read", errno.EFAULT),
+        ("socket", errno.EFAULT),
+        ("listening", errno.EFAULT),
+        ("connected", errno.EFAULT),
+    )
+] + [
+    ("read", "directory", [BUF, 4], errno.EISDIR),
+    ("read", "socket", [BUF, 4], errno.ENOTCONN),
+    ("read", "listening", [BUF, 4], errno.ENOTCONN),
+    ("recvfrom", "socket", [BUF, 4, 0, 0, 0], errno.ENOTCONN),
+    ("pread64", "closed", [BUF, -5, 0], errno.EBADF),
+    ("pread64", "pipe_read", [BUF, -5, 0], errno.ESPIPE),
+    ("pread64", "file", [BUF, -5, 0], errno.EFAULT),
+    ("pread64", "directory", [BUF, -5, 0], errno.EFAULT),
+    ("pread64", "file", [BUF, 4, -1], errno.EINVAL),
+    ("pread64", "closed", [BUF, 4, -1], errno.EINVAL),
+    ("pwrite64", "closed", [BUF, 4, -1], errno.EINVAL),
+    ("write", "pipe_read", [BUF, -1], errno.EBADF),
+    ("write", "epoll", [BUF, -1], errno.EINVAL),
+    ("write", "socket", [BUF, -1], errno.EFAULT),
+    ("write", "socket", [BUF, 4], errno.EPIPE),
+    ("write", "listening", [BUF, 4], errno.EPIPE),
+    ("sendto", "socket", [BUF, 4, 0, 0, 0], errno.EPIPE),
+]
+
+
+class TestIOErrnos:
+    """Failed reads and writes return Linux's errno in Linux's order, and
+    move and charge nothing."""
+
+    @staticmethod
+    def _state(kernel, proc, fds, conn):
+        return (
+            proc.ledger.cycles,
+            proc.fdtable.get(fds["file"]).pos,
+            proc.fdtable.get(fds["pipe_read"]).pipe.buffer,
+            conn.inbox,
+            conn.bytes_out,
+            kernel.net.bytes_sent,
+            kernel.net.bytes_received,
+            kernel.vfs.lookup("/tmp/data").data,
+            proc.memory.read(BUF + 2 * WORD),
+        )
+
+    @pytest.mark.parametrize(
+        "name,kind,rest,expected",
+        _IO_ERRNO_CASES,
+        ids=["%s-%s-%d" % (case[0], case[1], case[2][1]) for case in _IO_ERRNO_CASES],
+    )
+    def test_linux_errno(self, setup, name, kind, rest, expected):
+        kernel, proc = setup
+        fds, conn = _descriptors(kernel, proc)
+        before = self._state(kernel, proc, fds, conn)
+        assert kernel.dispatch(proc, name, [fds[kind]] + rest) == -expected
+        assert self._state(kernel, proc, fds, conn) == before
+
+    @pytest.mark.parametrize(
+        "out,in_,count,expected",
+        [
+            ("socket", "file", 4, errno.EPIPE),
+            ("listening", "file", 4, errno.EPIPE),
+            ("socket", "file", -1, errno.EINVAL),
+            ("closed", "file", -1, errno.EINVAL),
+            ("socket", "closed", -1, errno.EBADF),
+            ("connected", "file", -1, errno.EINVAL),
+        ],
+    )
+    def test_sendfile(self, setup, out, in_, count, expected):
+        """sendfile checks everything before in_fd is read: its offset,
+        the ledger and the peer stay as they were."""
+        kernel, proc = setup
+        fds, conn = _descriptors(kernel, proc)
+        before = self._state(kernel, proc, fds, conn)
+        assert kernel.dispatch(proc, "sendfile", [fds[out], fds[in_], 0, count]) == -expected
+        assert self._state(kernel, proc, fds, conn) == before
+
+    def test_negative_count_on_an_empty_socket_does_not_block(self, setup):
+        """The scheduler parks a read of an empty connected socket, but a
+        negative count fails at once, as on Linux."""
+        kernel, proc = setup
+        fds, conn = _descriptors(kernel, proc)
+        conn.take(5)
+        kernel._maybe_block(proc, "read", [fds["connected"], BUF, -1])
+        with pytest.raises(WouldBlock):
+            kernel._maybe_block(proc, "read", [fds["connected"], BUF, 4])
 
 
 class TestProcessSyscalls:
