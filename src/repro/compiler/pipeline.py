@@ -8,7 +8,7 @@ Usage::
     artifact.image()    # loadable Image of the instrumented program
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.ir.callgraph import build_callgraph
 from repro.ir.instructions import Call, CallIndirect
@@ -45,11 +45,21 @@ class BastionArtifact:
     original: object  # the input Module (untouched)
     module: object  # the instrumented Module
     metadata: BastionMetadata
+    #: key -> result, for :meth:`derive`
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def image(self):
         """The loaded image of the instrumented program (the loader's
         one image per module state)."""
         return load_module(self.module)
+
+    def derive(self, key, fn):
+        """``fn(self)``, computed once per artifact under ``key`` (as
+        :meth:`Image.derive <repro.vm.loader.Image.derive>` does per
+        image): the monitor keeps its resolved metadata here."""
+        if key not in self._derived:
+            self._derived[key] = fn(self)
+        return self._derived[key]
 
 
 class BastionCompiler:

@@ -8,6 +8,15 @@ and unconditional jumps, and returns.  Instruction encoding follows
 The BASTION monitor generates real programs through :mod:`repro.kernel.seccomp`
 and the kernel evaluates them here on every syscall — so seccomp's
 evaluation cost scales with actual filter length, as in Table 7 row 1.
+
+**Verdict memo.**  A program whose absolute loads read only ``nr`` and
+``arch`` (every :func:`repro.kernel.seccomp.build_action_filter` program)
+decides each syscall from those two words alone.  Such a program keeps
+``{(nr, arch): (action, instructions_run)}``, filled by the interpreter on
+first use, so a TRACE'd or KILLed syscall is charged the instructions the
+interpreter ran without running them again.  The memo belongs to the
+program object: a program built from flipped instructions (a fault) is a
+new program and starts empty.
 """
 
 from dataclasses import dataclass
@@ -125,7 +134,9 @@ class BPFProgram:
 
     A program is immutable (``instructions`` is a tuple), so one program
     can serve every filter built from the same input.  Programs compare
-    by content, with the hash computed once at load.
+    by content, with the hash computed once at load.  ``nr_only`` records
+    whether every absolute load reads ``nr`` or ``arch``; such a program
+    memoizes its verdicts (see the module docstring).
     """
 
     MAX_INSNS = 4096
@@ -137,6 +148,7 @@ class BPFProgram:
         if len(instructions) > self.MAX_INSNS:
             raise KernelError("BPF program too long")
         key = []
+        nr_only = True
         for pc, ins in enumerate(instructions):
             key += (ins.code, ins.jt, ins.jf, ins.k)
             cls = ins.code & 0x07
@@ -148,6 +160,8 @@ class BPFProgram:
             elif cls == BPF_LD and mode == BPF_ABS:
                 if not 0 <= ins.k < SECCOMP_DATA_SIZE or ins.k & 3:
                     raise KernelError("bad seccomp_data load offset %d at %d" % (ins.k, pc))
+                if ins.k not in (SECCOMP_DATA_NR, SECCOMP_DATA_ARCH):
+                    nr_only = False
             elif (
                 cls == BPF_ST
                 or (cls == BPF_LD and mode == BPF_MEM)
@@ -159,6 +173,9 @@ class BPFProgram:
         if instructions[-1].code & 0x07 != BPF_RET:
             raise KernelError("BPF program must end in RET")
         self.instructions = instructions
+        self.nr_only = nr_only
+        #: (nr, arch) -> (action, instructions_run), for an nr-only program
+        self._verdicts = {} if nr_only else None
         self._key = tuple(key)
         self._hash = hash(self._key)
 
@@ -174,7 +191,21 @@ class BPFProgram:
         return len(self.instructions)
 
     def run(self, data):
-        """Execute against ``data``; returns ``(action, instructions_run)``."""
+        """Execute against ``data``; returns ``(action, instructions_run)``.
+
+        An nr-only program answers a ``(nr, arch)`` it has run before from
+        its verdict memo."""
+        verdicts = self._verdicts
+        if verdicts is None:
+            return self.interpret(data)
+        key = (data.nr, data.arch)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = self.interpret(data)
+        return verdict
+
+    def interpret(self, data):
+        """Run the interpreter on ``data``: ``(action, instructions_run)``."""
         acc = 0
         idx_reg = 0
         scratch = [0] * BPF_MEMWORDS

@@ -1047,9 +1047,23 @@ class Kernel:
         return 0
 
     def _sys_sendto(self, proc, args):
+        """sendto(fd, buf, len, ...): ``write`` on a socket.  Linux imports
+        the user buffer first, with its length clamped to MAX_RW_COUNT (so
+        a negative one passes for a buffer this model can name), then
+        looks the socket up: an installed descriptor that is no socket
+        fails with ENOTSOCK before a byte moves.  A missing fd takes the
+        ``write`` path (EBADF, or stdout's swallow)."""
+        desc = proc.fdtable.get(self._arg(args, 0))
+        if desc is not None and not isinstance(desc, Socket):
+            return -errno.ENOTSOCK
         return self._sys_write(proc, args[:3])
 
     def _sys_recvfrom(self, proc, args):
+        """recvfrom(fd, buf, len, ...): ``read`` on a socket, with
+        ``sendto``'s ENOTSOCK for an installed non-socket descriptor."""
+        desc = proc.fdtable.get(self._arg(args, 0))
+        if desc is not None and not isinstance(desc, Socket):
+            return -errno.ENOTSOCK
         return self._sys_read(proc, args[:3])
 
     def _sys_setsockopt(self, proc, args):

@@ -17,7 +17,13 @@ from repro.vm.memory import WORD
 
 
 class PtraceHandle:
-    """Tracer-side accessor for one traced process."""
+    """Tracer-side accessor for one traced process.
+
+    Each call charges the tracee's ledger with one inline update: the
+    transport's cost rule (base cost plus a per-word cost, and the ledger
+    category) is resolved once, here.  A negative charge goes through
+    ``CycleLedger.charge``, which refuses it.
+    """
 
     def __init__(self, proc, costs, transport="ptrace"):
         if transport not in ("ptrace", "inkernel"):
@@ -29,39 +35,54 @@ class PtraceHandle:
         self.peek_calls = 0
         self.readv_calls = 0
         self.words_read = 0
-
-    # -- cost helpers -------------------------------------------------------
-
-    def _charge(self, ptrace_cost, nwords=0):
-        ledger = self.proc.ledger
-        if self.transport == "inkernel":
-            ledger.charge(
-                self.costs.inkernel_state_access + nwords, "monitor"
-            )
+        if transport == "inkernel":
+            access = costs.inkernel_state_access
+            self._getregs_cost, self._peek_cost = access, access + 1
+            self._readv_base, self._per_word = access, 1
+            self._category = "monitor"
         else:
-            ledger.charge(ptrace_cost + self.costs.readv_per_word * nwords, "ptrace")
+            self._getregs_cost = costs.ptrace_getregs
+            self._peek_cost = costs.ptrace_peek + costs.readv_per_word
+            self._readv_base, self._per_word = costs.readv_base, costs.readv_per_word
+            self._category = "ptrace"
 
     # -- the ptrace surface ---------------------------------------------------
 
     def getregs(self):
         """PTRACE_GETREGS: a copy of the stopped process's registers."""
         self.getregs_calls += 1
-        self._charge(self.costs.ptrace_getregs)
+        self.proc.ledger.charge(self._getregs_cost, self._category)
         return self.proc.regs.copy()
 
     def peekdata(self, addr):
         """PTRACE_PEEKDATA: one word of tracee memory."""
         self.peek_calls += 1
         self.words_read += 1
-        self._charge(self.costs.ptrace_peek, 1)
-        return self.proc.memory.read(addr)
+        proc = self.proc
+        cost = self._peek_cost
+        ledger = proc.ledger
+        if cost >= 0:
+            ledger.cycles += cost
+            by_category = ledger.by_category
+            by_category[self._category] = by_category.get(self._category, 0) + cost
+        else:
+            ledger.charge(cost, self._category)
+        return proc.memory.read(addr)
 
     def readv(self, addr, nwords):
         """process_vm_readv: a block of tracee memory in one round trip."""
         self.readv_calls += 1
         self.words_read += nwords
-        self._charge(self.costs.readv_base, nwords)
-        return self.proc.memory.read_block(addr, nwords)
+        proc = self.proc
+        cost = self._readv_base + self._per_word * nwords
+        ledger = proc.ledger
+        if cost >= 0:
+            ledger.cycles += cost
+            by_category = ledger.by_category
+            by_category[self._category] = by_category.get(self._category, 0) + cost
+        else:
+            ledger.charge(cost, self._category)
+        return proc.memory.read_block(addr, nwords)
 
     def read_cstr(self, addr, max_slots=256):
         """Read a NUL-terminated string via chunked readv."""

@@ -235,23 +235,6 @@ class SeccompActionCache:
         return len(self.allow_nrs)
 
 
-def _filter_is_nr_only(filt):
-    """True if the program reads nothing but the syscall nr and arch.
-
-    The cache is only sound when the verdict cannot depend on arguments or
-    the instruction pointer.  Rather than emulating with unknowns (Linux's
-    approach), reject any program whose absolute loads reach past the
-    ``arch`` field; :func:`build_action_filter` programs always pass.
-    """
-    for ins in filt.program.instructions:
-        if ins.code & 0x07 != BPF_LD:
-            continue
-        mode = ins.code & 0xE0
-        if mode == BPF_ABS and ins.k not in (SECCOMP_DATA_NR, SECCOMP_DATA_ARCH):
-            return False
-    return True
-
-
 #: (every filter's program, nrs) -> SeccompActionCache, or None for a
 #: chain that is not nr-only.  Programs compare by content, so a chain
 #: equal to one seen before hits whatever filters carry it, and a
@@ -274,7 +257,11 @@ def compute_action_cache(filters, nrs):
     if key in _action_caches:
         return _action_caches[key]
     cache = None
-    if all(_filter_is_nr_only(f) for f in filters):
+    # The bitmap is only sound when no verdict can depend on arguments or
+    # the instruction pointer.  Rather than emulating with unknowns
+    # (Linux's approach), every program must read nothing but the nr and
+    # arch (``BPFProgram.nr_only``); build_action_filter programs do.
+    if all(f.program.nr_only for f in filters):
         allow = set()
         for nr in nrs:
             action, _insns = evaluate_filters(filters, nr)

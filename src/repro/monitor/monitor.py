@@ -12,6 +12,11 @@ Lifecycle (§7.1):
 3. **Handle syscall stops**: on each ``SECCOMP_RET_TRACE`` stop, fetch
    registers, unwind the stack, and verify Call-Type, then Control-Flow,
    then Argument-Integrity; kill the application on the first violation.
+
+Step 1 runs once per artifact, not once per monitor: the resolved
+metadata, with each callsite's verification plan, lives on the artifact
+(:func:`resolved_metadata`), so the monitors of every launch share it and
+a stop derives nothing the image and the metadata already fix.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +30,8 @@ from repro.kernel.seccomp import (
 )
 from repro.monitor.cache import MonitorStats, VerdictCache, VerificationDeps
 from repro.monitor.policy import ContextPolicy
-from repro.monitor.unwind import unwind_stack
-from repro.monitor.verify import ContextVerifier, Violation
+from repro.monitor.unwind import code_sites, unwind_stack
+from repro.monitor.verify import ContextVerifier, Violation, bind_plan
 from repro.runtime.bastion_rt import BastionRuntime
 from repro.syscalls.table import SYSCALLS
 from repro.vm.costs import DEFAULT_COSTS
@@ -80,17 +85,76 @@ class MonitorSession:
     stop_counts: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
     killed: bool = False
+    #: the monitor's ptrace handle on this tracee, made at its first stop
+    pt: PtraceHandle = None
 
 
 @dataclass
 class _ResolvedMetadata:
-    """Metadata with program points resolved to code addresses."""
+    """Metadata with program points resolved to code addresses.
+
+    Shared by every monitor of one artifact (:func:`resolved_metadata`)
+    and never changed after it is built.
+    """
 
     valid_callers: dict = field(default_factory=dict)  # func -> set(addr)
     indirect_sites: set = field(default_factory=set)
     callsites: dict = field(default_factory=dict)  # addr -> CallsiteMeta
+    #: addr -> the callsite's binds as a plan for its own syscall
+    #: (:func:`repro.monitor.verify.bind_plan`)
+    plans: dict = field(default_factory=dict)
+    #: syscall instruction addr -> (function, the syscalls its metadata
+    #: lets it issue, whether the syscall is inline: not in a wrapper)
+    syscall_sites: dict = field(default_factory=dict)
     address_taken: set = field(default_factory=set)
     global_field_slots: tuple = ()  # absolute addresses of sensitive fields
+
+
+def resolved_metadata(artifact, image):
+    """``artifact``'s metadata resolved against ``image``, the loaded image
+    of its instrumented module: built once per artifact and image.
+
+    Like the loader's derivations, it assumes the artifact's metadata is
+    not edited after the artifact's first launch.
+    """
+    return artifact.derive(
+        ("monitor.resolved", image), lambda artifact: _resolve(artifact.metadata, image)
+    )
+
+
+def _resolve(metadata, image):
+    """Turn SiteKeys into code addresses using the program image."""
+    resolved = _ResolvedMetadata()
+
+    def addr(site_key):
+        return image.addr_of(site_key.func, site_key.index)
+
+    for callee, sites in metadata.valid_callers.items():
+        resolved.valid_callers[callee] = {addr(s) for s in sites}
+    resolved.indirect_sites = {addr(s) for s in metadata.indirect_sites}
+    resolved.callsites = {addr(meta.site): meta for meta in metadata.callsites.values()}
+    resolved.plans = {
+        site: bind_plan(meta.binds, meta.syscall)
+        for site, meta in resolved.callsites.items()
+    }
+    resolved.syscall_sites = {
+        rip: _syscall_site(metadata, image, name) for rip, name in code_sites(image)[1].items()
+    }
+    resolved.address_taken = set(metadata.address_taken)
+    resolved.global_field_slots = tuple(
+        image.global_addr[name] + 8 * offset
+        for name, offset in metadata.global_field_slots
+        if name in image.global_addr
+    )
+    return resolved
+
+
+def _syscall_site(metadata, image, func_name):
+    return (
+        func_name,
+        metadata.syscall_functions.get(func_name, ()),
+        not image.module.functions[func_name].is_wrapper,
+    )
 
 
 class BastionMonitor:
@@ -102,7 +166,7 @@ class BastionMonitor:
         self.policy = policy or ContextPolicy.full()
         self.costs = costs
         self.image = artifact.image()
-        self.resolved = self._resolve_metadata()
+        self.resolved = resolved_metadata(artifact, self.image)
         self.verifier = ContextVerifier(
             self.metadata, self.image, self.resolved, costs
         )
@@ -128,28 +192,6 @@ class BastionMonitor:
     # ------------------------------------------------------------------
     # initialization (§7.1)
     # ------------------------------------------------------------------
-
-    def _resolve_metadata(self):
-        """Turn SiteKeys into code addresses using the program image."""
-        image = self.image
-        resolved = _ResolvedMetadata()
-
-        def addr(site_key):
-            return image.addr_of(site_key.func, site_key.index)
-
-        for callee, sites in self.metadata.valid_callers.items():
-            resolved.valid_callers[callee] = {addr(s) for s in sites}
-        resolved.indirect_sites = {addr(s) for s in self.metadata.indirect_sites}
-        resolved.callsites = {
-            addr(meta.site): meta for meta in self.metadata.callsites.values()
-        }
-        resolved.address_taken = set(self.metadata.address_taken)
-        resolved.global_field_slots = tuple(
-            image.global_addr[name] + 8 * offset
-            for name, offset in self.metadata.global_field_slots
-            if name in image.global_addr
-        )
-        return resolved
 
     def check_metadata_consistency(self):
         """Audit the loaded metadata against the program image and IR.
@@ -256,13 +298,16 @@ class BastionMonitor:
         context-switch cost instead of charging a full round trip.
         """
         self.stats.count_hook(syscall_name)
-        stop_counts = self.session_of(proc.pid).stop_counts
+        session = self.session_of(proc.pid)
+        stop_counts = session.stop_counts
         stop_counts[syscall_name] = stop_counts.get(syscall_name, 0) + 1
         policy = self.policy
         if policy.mode == "hook_only":
             return False
 
-        pt = PtraceHandle(proc, self.costs, transport=policy.transport)
+        pt = session.pt
+        if pt is None or pt.proc is not proc:
+            pt = session.pt = PtraceHandle(proc, self.costs, transport=policy.transport)
         regs = pt.getregs()
         bus = self.stats.bus
         ledger = proc.ledger
@@ -298,14 +343,17 @@ class BastionMonitor:
         self.stats.trap_stops_full += 1
 
         # -- slow path: full unwind + three-context verification -----------
-        func_name = self.image.func_containing(regs.rip)
-        if func_name is None:
-            self._verdict(
-                pt,
-                Violation("call-type", syscall_name, "syscall outside text", regs.rip),
-            )
-            return False
-        known = self.metadata.syscall_functions.get(func_name, ())
+        site = self.resolved.syscall_sites.get(regs.rip)
+        if site is None:  # no syscall instruction of the image
+            func_name = self.image.func_containing(regs.rip)
+            if func_name is None:
+                self._verdict(
+                    pt,
+                    Violation("call-type", syscall_name, "syscall outside text", regs.rip),
+                )
+                return False
+            site = _syscall_site(self.metadata, self.image, func_name)
+        func_name, known, inline = site
         if syscall_name not in known:
             self._verdict(
                 pt,
@@ -317,8 +365,6 @@ class BastionMonitor:
                 ),
             )
             return False
-        func = self.image.module.functions[func_name]
-        inline = not func.is_wrapper
 
         # Call-type alone only needs the invoking callsite (one frame); the
         # control-flow and argument-integrity contexts walk the whole stack.

@@ -7,11 +7,16 @@ expense when the protected set grows (Table 7).
 
 The walk also *decodes the call instruction* at ``return_address - 4`` in
 the program image, classifying each hop as a direct call, an indirect call,
-or not-a-callsite (the smoking gun of a ROP return).
+or not-a-callsite (the smoking gun of a ROP return).  Every call in the
+image is decoded once, into its image's return-site table
+(:func:`code_sites`), so a hop costs its read and one lookup; a return
+address that is no return site (a smashed or pivoted chain) is decoded
+from the image as it comes, and never added to the table.
 """
 
 from dataclasses import dataclass
 
+from repro.ir.instructions import Call, CallIndirect, Syscall
 from repro.vm.loader import INSTR_STRIDE
 from repro.vm.memory import WORD
 
@@ -37,6 +42,28 @@ class Frame:
     kind: str = None
 
 
+def code_sites(image):
+    """``(return sites, syscall sites)`` of ``image``, decoded once per
+    image: ``{return address: (call kind, caller function)}`` for every
+    call instruction, and ``{address: function}`` for every syscall
+    instruction (where a stop's ``rip`` points)."""
+    return image.derive("monitor.code_sites", _decode_sites)
+
+
+def _decode_sites(image):
+    returns = {}
+    syscalls = {}
+    for name, func in image.module.functions.items():
+        base = image.func_base[name]
+        for index, instr in enumerate(func.body):
+            if isinstance(instr, (Call, CallIndirect)):
+                kind = "direct" if isinstance(instr, Call) else "indirect"
+                returns[base + (index + 1) * INSTR_STRIDE] = (kind, name)
+            elif isinstance(instr, Syscall):
+                syscalls[base + index * INSTR_STRIDE] = name
+    return returns, syscalls
+
+
 def unwind_stack(pt, regs, image, max_frames=64):
     """Unwind the tracee stack from a syscall stop; returns ``[Frame, ...]``.
 
@@ -45,23 +72,33 @@ def unwind_stack(pt, regs, image, max_frames=64):
     walk stops at the main sentinel (return address 0), at a hijacked chain
     (unresolvable return address), or after ``max_frames``.
     """
+    sites, syscalls = code_sites(image)
+    readv = pt.readv
     frames = []
     fp = regs.rbp
-    func = image.func_containing(regs.rip)
+    func = syscalls.get(regs.rip)
+    if func is None:
+        func = image.func_containing(regs.rip)
     while len(frames) < max_frames:
-        saved_fp, return_addr = pt.readv(fp, 2)
+        saved_fp, return_addr = readv(fp, 2)
         if return_addr == 0:
             frames.append(Frame(func, fp, 0, None, "bottom"))
             break
         callsite_addr = return_addr - INSTR_STRIDE
-        kind = image.call_kind_at(callsite_addr)
-        frames.append(Frame(func, fp, return_addr, callsite_addr, kind))
-        if kind is None:
-            break  # corrupted chain: nothing above can be trusted
-        func = image.func_containing(callsite_addr)
+        site = sites.get(return_addr)
+        if site is None:
+            kind = image.call_kind_at(callsite_addr)
+            frames.append(Frame(func, fp, return_addr, callsite_addr, kind))
+            if kind is None:
+                break  # corrupted chain: nothing above can be trusted
+            func = image.func_containing(callsite_addr)
+            if func is None:
+                break
+        else:
+            kind, caller = site
+            frames.append(Frame(func, fp, return_addr, callsite_addr, kind))
+            func = caller
         fp = saved_fp
-        if func is None:
-            break
     return frames
 
 

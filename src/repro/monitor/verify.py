@@ -8,16 +8,26 @@ ptrace-mediated reads of the tracee's memory and shadow region.
 Verdicts are :class:`Violation` records naming the violated context; the
 monitor turns a verdict into a kill (§7.2: "assumes this is an attack
 attempt and immediately kills the protected application").
+
+**Plans.**  What a check needs from the metadata alone is resolved once per
+artifact (``resolved.plans``, built with :func:`bind_plan`): per callsite,
+one tuple per bound argument with its register, constant and argument kind.
+A stop then pays for its modeled work and little else: every ``readv``,
+``peekdata`` and ``monitor_check`` is one inline ledger update, and every
+shadow-table probe one step of :func:`repro.runtime.shadow_table.lookup`.
+The reads, their order and their cycles are the ones the per-stop
+derivation made.
 """
 
 from dataclasses import dataclass
 
+from repro.kernel.process import RegisterFile
 from repro.monitor.unwind import callee_param_slot
 from repro.runtime.shadow_table import (
     BIND_MEM,
     BINDINGS_LAYOUT,
     COPIES_LAYOUT,
-    ShadowTableReader,
+    lookup,
 )
 from repro.syscalls.argspec import ArgKind, argspec_for
 from repro.vm.memory import WORD
@@ -44,6 +54,33 @@ class Violation:
 #: pointee verification bound for extended arguments (slots)
 MAX_EXTENDED_SLOTS = 64
 
+_ARG_ORDER = RegisterFile.ARG_ORDER
+
+
+def bind_plan(binds, syscall):
+    """The verification plan of a callsite's ``binds`` for ``syscall``.
+
+    One tuple per bind: ``(position, register, const, value, kind_index,
+    payload_index, arg_kind)``.  ``register`` names the argument register
+    (None past the six: the stop reads ``regs.arg(position)`` and fails as
+    it does), ``const`` tells a constant bind from a memory one, and the
+    two indices locate the bind's ``(kind, payload)`` pair in a binding
+    record.  ``arg_kind`` is ``argspec_for(syscall).kind(position)``.
+    """
+    spec = argspec_for(syscall)
+    return tuple(
+        (
+            b.position,
+            _ARG_ORDER[b.position - 1] if 1 <= b.position <= len(_ARG_ORDER) else None,
+            b.kind == "const",
+            b.value,
+            1 + (b.position - 1) * 2,
+            2 + (b.position - 1) * 2,
+            spec.kind(b.position),
+        )
+        for b in binds
+    )
+
 
 class ContextVerifier:
     """Stateless-per-stop verification engine shared by the monitor."""
@@ -53,7 +90,9 @@ class ContextVerifier:
 
         Required attributes: ``valid_callers`` (func -> set of callsite
         addresses), ``indirect_sites`` (set of addresses), ``callsites``
-        (address -> CallsiteMeta), ``address_taken`` (set of names).
+        (address -> CallsiteMeta), ``plans`` (address -> :func:`bind_plan`
+        of its callsite for the callsite's own syscall), ``address_taken``
+        (set of names), ``global_field_slots`` (addresses).
         """
         self.metadata = metadata
         self.image = image
@@ -67,9 +106,11 @@ class ContextVerifier:
         #: learns which shadow slots / binding records the verdict depends on
         self.deps = None
 
-    def _charge_check(self, pt):
+    def _charge_check(self, ledger):
+        """One ``monitor_check``, when checks are charged (the per-frame
+        and per-bind loops add it inline)."""
         if self.charge_checks:
-            pt.proc.ledger.charge(self.costs.monitor_check, "monitor")
+            ledger.charge(self.costs.monitor_check, "monitor")
 
     # ------------------------------------------------------------------
     # §7.2 call-type context
@@ -77,7 +118,7 @@ class ContextVerifier:
 
     def verify_call_type(self, pt, regs, syscall_name, frames, inline):
         """Check which call kind reached the syscall against the metadata."""
-        self._charge_check(pt)
+        self._charge_check(pt.proc.ledger)
         allowed = self.metadata.call_types.get(syscall_name)
         if not allowed:
             return Violation(
@@ -120,7 +161,7 @@ class ContextVerifier:
                 "indirect invocation of a direct-only syscall",
                 regs.rip,
             )
-        self._charge_check(pt)
+        self._charge_check(pt.proc.ledger)
         if frame0.callsite_addr not in self.resolved.indirect_sites:
             return Violation(
                 "call-type",
@@ -136,8 +177,15 @@ class ContextVerifier:
 
     def verify_control_flow(self, pt, regs, syscall_name, frames):
         """Edge-check every callee→caller hop until main or an indirect call."""
+        ledger = pt.proc.ledger
+        by_category = ledger.by_category
+        charged, check = self.charge_checks, self.costs.monitor_check
         for frame in frames:
-            self._charge_check(pt)
+            if charged:
+                if check < 0:
+                    ledger.charge(check, "monitor")  # refuses it
+                ledger.cycles += check
+                by_category["monitor"] = by_category.get("monitor", 0) + check
             if frame.kind == "bottom":
                 # main's sentinel — or a thread's: clone()-start routines
                 # are legitimate stack bottoms (§7.1)
@@ -200,11 +248,9 @@ class ContextVerifier:
 
     def verify_arg_integrity(self, pt, regs, syscall_name, frames, inline, enforce):
         """Verify bound arguments at the syscall callsite and up the stack."""
-        copies = ShadowTableReader(pt.readv, COPIES_LAYOUT)
-        bindings = ShadowTableReader(pt.readv, BINDINGS_LAYOUT)
-
+        resolved = self.resolved
         syscall_site = regs.rip if inline else frames[0].callsite_addr
-        meta = self.resolved.callsites.get(syscall_site)
+        meta = resolved.callsites.get(syscall_site)
         if meta is None or meta.syscall is None:
             if enforce:
                 return Violation(
@@ -216,8 +262,11 @@ class ContextVerifier:
                 )
             return None
 
+        plan = resolved.plans[syscall_site]
+        if syscall_name != meta.syscall:
+            plan = bind_plan(meta.binds, syscall_name)
         verdict = self._verify_syscall_site(
-            pt, regs, syscall_name, syscall_site, meta, copies, bindings, enforce
+            pt, regs, syscall_name, syscall_site, plan, enforce
         )
         if verdict is not None:
             return verdict
@@ -228,14 +277,15 @@ class ContextVerifier:
 
         # Walk the remaining frames: pass-through callsites carrying
         # sensitive variables (Figure 2's foo -> bar flags binding).
+        plans = resolved.plans
         for frame in frames[1:]:
             if frame.kind in ("bottom", None):
                 break
-            frame_meta = self.resolved.callsites.get(frame.callsite_addr)
-            if frame_meta is None:
+            plan = plans.get(frame.callsite_addr)
+            if plan is None:
                 continue
             verdict = self._verify_passthrough_site(
-                pt, regs, syscall_name, frame, frame_meta, copies, enforce
+                pt, regs, syscall_name, frame, plan, enforce
             )
             if verdict is not None:
                 return verdict
@@ -250,12 +300,17 @@ class ContextVerifier:
         cache *hit* (the resident check): the field lives in corruptible
         application memory, so no fingerprint can stand in for reading it.
         """
-        copies = ShadowTableReader(pt.readv, COPIES_LAYOUT)
+        ledger = pt.proc.ledger
+        readv = pt.readv
+        deps = self.deps
         for slot_addr in self.resolved.global_field_slots:
-            self._charge_check(pt)
-            shadow = self._shadow_value(copies, slot_addr)
-            if shadow is None:
+            self._charge_check(ledger)
+            if deps is not None:
+                deps.read_shadow(slot_addr)
+            entry = lookup(readv, COPIES_LAYOUT, slot_addr)
+            if entry is None:
                 continue  # field not initialized yet on this path
+            shadow = entry[0]
             actual = pt.peekdata(slot_addr)
             if enforce and actual != shadow:
                 return Violation(
@@ -267,29 +322,28 @@ class ContextVerifier:
                 )
         return None
 
-    def _shadow_value(self, copies, addr):
-        if self.deps is not None:
-            self.deps.read_shadow(addr)
-        entry = copies.get(addr)
-        return None if entry is None else entry[0]
-
-    def _verify_syscall_site(
-        self, pt, regs, syscall_name, site_addr, meta, copies, bindings, enforce
-    ):
-        spec = argspec_for(syscall_name)
-        if self.deps is not None:
-            self.deps.read_bindings(site_addr)
-        record = bindings.get(site_addr)  # [argmask, (kind, payload) x 6]
-        for binding in meta.binds:
-            self._charge_check(pt)
-            actual = regs.arg(binding.position)
-            if binding.kind == "const":
-                if enforce and actual != binding.value:
+    def _verify_syscall_site(self, pt, regs, syscall_name, site_addr, plan, enforce):
+        ledger = pt.proc.ledger
+        readv = pt.readv
+        deps = self.deps
+        if deps is not None:
+            deps.read_bindings(site_addr)
+        record = lookup(readv, BINDINGS_LAYOUT, site_addr)
+        by_category = ledger.by_category
+        charged, check = self.charge_checks, self.costs.monitor_check
+        for position, register, const, value, kind_at, payload_at, arg_kind in plan:
+            if charged:
+                if check < 0:
+                    ledger.charge(check, "monitor")  # refuses it
+                ledger.cycles += check
+                by_category["monitor"] = by_category.get("monitor", 0) + check
+            actual = getattr(regs, register) if register else regs.arg(position)
+            if const:
+                if enforce and actual != value:
                     return Violation(
                         "arg-integrity",
                         syscall_name,
-                        "arg%d: constant %d corrupted to %d"
-                        % (binding.position, binding.value, actual),
+                        "arg%d: constant %d corrupted to %d" % (position, value, actual),
                         regs.rip,
                     )
             else:
@@ -302,119 +356,116 @@ class ContextVerifier:
                             regs.rip,
                         )
                     continue
-                kind = record[1 + (binding.position - 1) * 2]
-                payload = record[2 + (binding.position - 1) * 2]
-                if kind != BIND_MEM:
+                if record[kind_at] != BIND_MEM:
                     if enforce:
                         return Violation(
                             "arg-integrity",
                             syscall_name,
-                            "arg%d: binding record missing/clobbered"
-                            % binding.position,
+                            "arg%d: binding record missing/clobbered" % position,
                             regs.rip,
                         )
                     continue
-                expected = self._shadow_value(copies, payload)
+                payload = record[payload_at]
+                if deps is not None:
+                    deps.read_shadow(payload)
+                entry = lookup(readv, COPIES_LAYOUT, payload)
+                expected = None if entry is None else entry[0]
                 if enforce and expected is None:
                     return Violation(
                         "arg-integrity",
                         syscall_name,
-                        "arg%d: bound variable has no shadow copy"
-                        % binding.position,
+                        "arg%d: bound variable has no shadow copy" % position,
                         regs.rip,
                     )
                 if enforce and expected != actual:
                     return Violation(
                         "arg-integrity",
                         syscall_name,
-                        "arg%d: value %d, shadow copy %d"
-                        % (binding.position, actual, expected),
+                        "arg%d: value %d, shadow copy %d" % (position, actual, expected),
                         regs.rip,
                     )
             # Extended arguments: also verify pointee memory (§6.3.2).
             # Pointee bytes live in corruptible app memory the argument
             # fingerprint cannot see, so such verdicts are never cached.
-            arg_kind = spec.kind(binding.position)
-            if arg_kind in (ArgKind.EXTENDED, ArgKind.VECTOR) and actual > 0:
-                if self.deps is not None:
-                    self.deps.mark_volatile()
-            if arg_kind == ArgKind.EXTENDED and actual > 0:
-                verdict = self._verify_pointee(
-                    pt, regs, syscall_name, binding.position, actual, copies, enforce
-                )
-                if verdict is not None:
-                    return verdict
-            elif arg_kind == ArgKind.VECTOR and actual > 0:
-                pointers = pt.read_vector(actual, 16)
+            # OUT_SOCKADDR (§9.2 fast path): kernel-written output — the
+            # pointer itself was verified above; the pointee is exempt.
+            if actual > 0 and (arg_kind is ArgKind.EXTENDED or arg_kind is ArgKind.VECTOR):
+                if deps is not None:
+                    deps.mark_volatile()
+                if arg_kind is ArgKind.EXTENDED:
+                    pointers = (actual,)
+                else:
+                    pointers = pt.read_vector(actual, 16)
                 for ptr in pointers:
                     verdict = self._verify_pointee(
-                        pt, regs, syscall_name, binding.position, ptr, copies, enforce
+                        pt, regs, syscall_name, position, ptr, enforce
                     )
                     if verdict is not None:
                         return verdict
-            # OUT_SOCKADDR (§9.2 fast path): kernel-written output — the
-            # pointer itself was verified above; the pointee is exempt.
         return None
 
-    def _verify_pointee(
-        self, pt, regs, syscall_name, position, pointer, copies, enforce
-    ):
+    def _verify_pointee(self, pt, regs, syscall_name, position, pointer, enforce):
         """Compare pointee slots against their shadow copies.
 
         Slots without a shadow entry are not tracked (e.g. kernel-written or
         dynamically allocated data) and are skipped — statically identified
         buffers (sensitive globals, struct fields) are always tracked.
         """
+        readv = pt.readv
+        deps = self.deps
         for i in range(MAX_EXTENDED_SLOTS):
             slot_addr = pointer + i * WORD
             actual = pt.peekdata(slot_addr)
-            shadow = self._shadow_value(copies, slot_addr)
-            if shadow is not None and enforce and shadow != actual:
+            if deps is not None:
+                deps.read_shadow(slot_addr)
+            entry = lookup(readv, COPIES_LAYOUT, slot_addr)
+            if entry is not None and enforce and entry[0] != actual:
                 return Violation(
                     "arg-integrity",
                     syscall_name,
                     "arg%d: pointee slot %d corrupted (%d != shadow %d)"
-                    % (position, i, actual, shadow),
+                    % (position, i, actual, entry[0]),
                     regs.rip,
                 )
             if actual == 0:
                 break  # NUL terminator / end of tracked buffer
         return None
 
-    def _verify_passthrough_site(
-        self, pt, regs, syscall_name, frame, meta, copies, enforce
-    ):
+    def _verify_passthrough_site(self, pt, regs, syscall_name, frame, plan, enforce):
         """Verify callee parameter slots against bound caller variables."""
-        bindings = ShadowTableReader(pt.readv, BINDINGS_LAYOUT)
-        if self.deps is not None:
-            self.deps.read_bindings(frame.callsite_addr)
-        record = bindings.get(frame.callsite_addr)
-        for binding in meta.binds:
-            self._charge_check(pt)
-            actual = pt.peekdata(callee_param_slot(frame, binding.position))
-            if binding.kind == "const":
-                if enforce and actual != binding.value:
+        ledger = pt.proc.ledger
+        readv = pt.readv
+        deps = self.deps
+        if deps is not None:
+            deps.read_bindings(frame.callsite_addr)
+        record = lookup(readv, BINDINGS_LAYOUT, frame.callsite_addr)
+        for position, _register, const, value, kind_at, payload_at, _kind in plan:
+            self._charge_check(ledger)
+            actual = pt.peekdata(callee_param_slot(frame, position))
+            if const:
+                if enforce and actual != value:
                     return Violation(
                         "arg-integrity",
                         syscall_name,
                         "frame %s arg%d: constant %d corrupted to %d"
-                        % (frame.func, binding.position, binding.value, actual),
+                        % (frame.func, position, value, actual),
                         regs.rip,
                     )
                 continue
             if record is None:
                 continue  # callsite never executed a bind on this path
-            kind = record[1 + (binding.position - 1) * 2]
-            payload = record[2 + (binding.position - 1) * 2]
-            if kind != BIND_MEM:
+            if record[kind_at] != BIND_MEM:
                 continue
-            expected = self._shadow_value(copies, payload)
-            if enforce and expected is not None and expected != actual:
+            payload = record[payload_at]
+            if deps is not None:
+                deps.read_shadow(payload)
+            entry = lookup(readv, COPIES_LAYOUT, payload)
+            if enforce and entry is not None and entry[0] != actual:
                 return Violation(
                     "arg-integrity",
                     syscall_name,
                     "frame %s arg%d: value %d, shadow copy %d"
-                    % (frame.func, binding.position, actual, expected),
+                    % (frame.func, position, actual, entry[0]),
                     regs.rip,
                 )
         return None

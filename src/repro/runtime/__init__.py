@@ -10,9 +10,10 @@ an open-addressing shadow-memory hash table holding:
 The application-side half (:class:`repro.runtime.bastion_rt.BastionRuntime`)
 is driven by the compiler-inserted ``ctx_write_mem`` / ``ctx_bind_mem_X`` /
 ``ctx_bind_const_X`` intrinsics.  The monitor-side half reads the same
-region through ptrace (:class:`repro.runtime.shadow_table.ShadowTableReader`)
-— it shares only the *layout*, never Python object state, preserving the
-process boundary.
+region through ptrace (:func:`repro.runtime.shadow_table.lookup`, which
+:class:`~repro.runtime.shadow_table.ShadowTableReader` wraps) — it shares
+only the *layout*, never Python object state, preserving the process
+boundary.
 """
 
 from repro.runtime.shadow_table import (

@@ -11,9 +11,12 @@ Two tables share the shadow region:
   argument-binding records (14-word entries).
 
 Both the application-side writer (:class:`ShadowTable`) and the monitor-side
-reader (:class:`ShadowTableReader`) derive slot addresses from the same
-:class:`ShadowTableLayout`, so the monitor can find entries using nothing
-but ``process_vm_readv`` — no shared Python state.
+reader (:func:`lookup`, :class:`ShadowTableReader`) derive slot addresses
+from the same :class:`ShadowTableLayout`, so the monitor can find entries
+using nothing but ``process_vm_readv`` — no shared Python state.  Both
+probe in one loop: the writer reads table words straight from the word
+dict (a table address is valid by construction), the reader makes one
+``read_block`` call per probe.
 """
 
 from dataclasses import dataclass
@@ -58,6 +61,10 @@ COPIES_LAYOUT = ShadowTableLayout(SHADOW_BASE, 1 << 15, 2)
 BINDINGS_LAYOUT = ShadowTableLayout(SHADOW_BASE + (1 << 21), 1 << 12, 2 + 12)
 
 
+#: probes the monitor-side reader makes before it gives a key up
+MAX_PROBES = 64
+
+
 class ShadowTable:
     """Application-side writer over a layout (used by the runtime library)."""
 
@@ -70,13 +77,13 @@ class ShadowTable:
         of the empty entry it would take: one linear probe, raising
         :class:`ReproError` if the table is full."""
         layout = self.layout
-        read = self.memory.read
+        get = self.memory._words.get
         mask = layout.capacity - 1
         stride = layout.entry_words * WORD
         slot = ((key >> 3) * _HASH_MULT) & mask
         for _ in range(layout.capacity):
             addr = layout.base + slot * stride
-            existing = read(addr)
+            existing = get(addr, 0)
             if existing == key:
                 return addr, True
             if existing == 0:
@@ -102,14 +109,37 @@ class ShadowTable:
         return self.memory.read_block(addr + WORD, self.layout.entry_words - 1)
 
 
+def lookup(read_block, layout, key, max_probes=MAX_PROBES):
+    """Payload words for ``key``, or None if absent: the linear probe the
+    monitor makes through ``read_block(addr, nwords)`` (typically
+    ``PtraceHandle.readv``), one call per probe and at most ``max_probes``
+    calls."""
+    nwords = layout.entry_words
+    stride = nwords * WORD
+    mask = layout.capacity - 1
+    base = layout.base
+    slot = ((key >> 3) * _HASH_MULT) & mask
+    probes = max_probes if max_probes < layout.capacity else layout.capacity
+    while probes > 0:
+        words = read_block(base + slot * stride, nwords)
+        head = words[0]
+        if head == key:
+            return words[1:]
+        if head == 0:
+            return None
+        slot = (slot + 1) & mask
+        probes -= 1
+    return None
+
+
 class ShadowTableReader:
-    """Monitor-side reader: same probing, but through a read callback.
+    """Monitor-side reader: :func:`lookup` bound to a read callback.
 
     ``read_block(addr, nwords)`` is typically ``PtraceHandle.readv`` — every
     probe is a real cross-process read with its cycle cost.
     """
 
-    MAX_PROBES = 64
+    MAX_PROBES = MAX_PROBES
 
     def __init__(self, read_block, layout):
         self.read_block = read_block
@@ -117,15 +147,4 @@ class ShadowTableReader:
 
     def get(self, key):
         """Payload words for ``key``, or None if absent."""
-        probes = 0
-        for slot in self.layout.probe_sequence(key):
-            probes += 1
-            if probes > self.MAX_PROBES:
-                return None
-            addr = self.layout.entry_addr(slot)
-            words = self.read_block(addr, self.layout.entry_words)
-            if words[0] == key:
-                return words[1:]
-            if words[0] == 0:
-                return None
-        return None
+        return lookup(self.read_block, self.layout, key, self.MAX_PROBES)

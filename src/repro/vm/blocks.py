@@ -3,10 +3,11 @@
 ``CPU._step`` is the reference interpreter: it decodes one instruction per
 call.  This module turns each straight-line run of a function, from any
 index where execution can resume through the first jump, branch, call,
-ret, syscall or intrinsic, into one generated Python function.  Frame-slot
-offsets, immediates, jump targets, callee frame sizes, global addresses
-and cycle charges are baked into its source, so a block pays no decoding,
-one ledger update and one set of loop checks for all its instructions.
+ret, syscall or block-ending intrinsic, into one generated Python
+function.  Frame-slot offsets, immediates, jump targets, callee frame
+sizes, global addresses and cycle charges are baked into its source, so
+a block pays no decoding, one ledger update and one set of loop checks
+for all its instructions.
 An indirect call looks its callee's frame size and arity up in the
 image's code maps (``CPU._callees``) keyed by the target address.
 
@@ -24,6 +25,16 @@ indirect-call target to its callee's frame, from a return address to the
 caller's destination slot, are :class:`CodeMaps` kept per image and
 context (:func:`code_maps`), so every CPU and run on one loaded image
 fills them once.
+
+**Intrinsics.**  A ``cycle_burn`` of a constant amount, a
+``ctx_write_mem`` of a constant size and every ``ctx_bind_*`` continue
+the block (BASTION-instrumented code calls them between most
+statements): their cycles are static, so they count in the block's
+guard like any other instruction's.  Before calling the BASTION runtime
+the block commits ``rip``, steps and cycles, so a runtime error leaves
+what ``_step`` leaves; after the call it reads frame slots afresh.  A
+computed size or amount, ``trace``, ``hook`` and ``halt`` end the
+block.
 
 **Exactness.**  ``CPU.run_slice`` runs a block only when every
 instruction in it would pass the reference loop's per-instruction checks
@@ -338,7 +349,8 @@ class _BlockWriter:
         self.cfi = cfi
         self.lines = []
         self.count = 0  # instructions in the block so far
-        self.committed = False
+        self.done = 0  # instructions whose steps are committed
+        self.static = 0  # static cycles charged so far, committed or not
         self.pre = 0  # static cycles before the last instruction
         self.depth = 0
         self.last = base
@@ -414,6 +426,7 @@ class _BlockWriter:
         entry = self.charges.setdefault(category, [0, []])
         if isinstance(amount, int):
             entry[0] += amount
+            self.static += amount
         else:
             entry[1].append(amount)
 
@@ -422,7 +435,7 @@ class _BlockWriter:
         charges = tuple((cat, entry[0]) for cat, entry in self.charges.items())
         self.emit(
             "return _bail(cpu, ledger, stats, %d, %d, %d, %r)"
-            % (self.index, self.addr(self.index), self.count, charges),
+            % (self.index, self.addr(self.index), self.count - self.done, charges),
             indent,
         )
 
@@ -430,9 +443,9 @@ class _BlockWriter:
         """Emit the pending ``rip``, step count and ledger charges."""
         if rip is not None:
             self.emit("cpu.rip = %s" % _src(rip))
-        if not self.committed:
-            self.emit("stats.steps += %d" % self.count)
-            self.committed = True
+        if self.count > self.done:
+            self.emit("stats.steps += %d" % (self.count - self.done))
+            self.done = self.count
         total = [str(sum(entry[0] for entry in self.charges.values()))]
         for entry in self.charges.values():
             total.extend(entry[1])
@@ -456,11 +469,12 @@ class _BlockWriter:
                 self.depth,
                 dict(self.known),
                 {cat: [e[0], list(e[1])] for cat, e in self.charges.items()},
-                self.committed,
+                self.done,
+                self.static,
             )
             self.index = index
             self.count += 1
-            pre = sum(entry[0] for entry in self.charges.values())
+            pre = self.static
             try:
                 ends = self.instruction(instr)
             except (_Unsupported, IRError, LookupError, TypeError, AttributeError):
@@ -468,7 +482,7 @@ class _BlockWriter:
                 # (and raises then, if at all)
                 self.count -= 1
                 del self.lines[mark[0]:]
-                self.depth, self.known, self.charges, self.committed = mark[1:]
+                self.depth, self.known, self.charges, self.done, self.static = mark[1:]
                 break
             self.pre = pre
             self.last = self.addr(index)
@@ -561,8 +575,7 @@ class _BlockWriter:
             self.syscall(instr)
             return True
         elif kind is Intrinsic:
-            self.intrinsic(instr)
-            return True
+            return self.intrinsic(instr)
         else:
             raise _Unsupported(instr)
         self.charge("app", costs.instr)
@@ -713,43 +726,44 @@ class _BlockWriter:
         self.emit("cpu.rip += %d" % INSTR_STRIDE)
 
     def intrinsic(self, instr):
-        """Like ``CPU._do_intrinsic``; ``halt`` and unknown names take ``_step``."""
+        """Like ``CPU._do_intrinsic``; True if the intrinsic ends the block.
+
+        A ``cycle_burn`` of a constant amount and the runtime intrinsics
+        of a constant size (``ctx_bind_*`` always) continue the block:
+        their cost is static, so it counts in ``pre`` and the block's
+        quantum guard stays the reference's.  A runtime call first
+        commits ``rip``, steps and cycles, as ``_step`` leaves them if it
+        raises, and forwards no frame slot read before it.  ``halt``,
+        ``hook``, unknown names and a computed size or amount end the
+        block; ``halt`` and unknown names take ``_step``."""
         name = instr.name
         here = self.addr(self.index)
         costs = self.costs
         if name == CTX_WRITE_MEM:
             addr = _src(self.read(instr.args[0]))
             size = self.read(instr.args[1]) if len(instr.args) > 1 else 1
-            if isinstance(size, int):
-                cost = costs.ctx_write_mem_base + costs.ctx_write_mem_per_slot * max(size, 1)
-            else:
+            ends = not isinstance(size, int)
+            if ends:
                 cost = self.assign(
                     "%d + %d * (%s if %s > 1 else 1)"
                     % (costs.ctx_write_mem_base, costs.ctx_write_mem_per_slot, size, size)
                 )
-            self.emit("stats.instrumentation_hits += 1")
-            self.charge("instrumentation", cost)
-            self.commit(here)
-            self.emit("runtime = cpu.proc.bastion_runtime")
-            self.emit("if runtime is not None:")
-            self.emit("runtime.ctx_write_mem(%s, %s)" % (addr, _src(size)), 2)
+            else:
+                cost = costs.ctx_write_mem_base + costs.ctx_write_mem_per_slot * max(size, 1)
+            self.runtime_call(here, cost, "ctx_write_mem(%s, %s)" % (addr, _src(size)))
         elif name in (CTX_BIND_MEM, CTX_BIND_CONST):
             callsite, pos = instr.meta["callsite_index"], instr.meta["pos"]
             if type(callsite) is not int or type(pos) is not int:
                 raise _Unsupported(instr)
             callsite = self.image.addr_of(self.func.name, callsite)
             value = _src(self.read(instr.args[0]))
-            self.emit("stats.instrumentation_hits += 1")
-            self.charge("instrumentation", costs.ctx_bind)
-            self.commit(here)
-            self.emit("runtime = cpu.proc.bastion_runtime")
-            self.emit("if runtime is not None:")
-            self.emit("runtime.%s(%d, %d, %s)" % (name, callsite, pos, value), 2)
+            self.runtime_call(here, costs.ctx_bind, "%s(%d, %d, %s)" % (name, callsite, pos, value))
+            ends = False
         elif name == "trace":
             values = [_src(self.read(a)) for a in instr.args]
             self.emit("cpu.proc.trace_log.append([%s])" % ", ".join(values))
             self.commit(here + INSTR_STRIDE)
-            return
+            return True
         elif name == "hook":
             point = instr.meta.get("point")
             if point is not None and type(point) is not str:
@@ -758,6 +772,7 @@ class _BlockWriter:
             self.emit("hook = cpu.hooks.get(%r)" % point)
             self.emit("if hook is not None:")
             self.emit("hook(cpu)", 2)
+            ends = True
         elif name == "cycle_burn":
             amount = self.read(instr.args[0])
             if isinstance(amount, int):
@@ -771,8 +786,23 @@ class _BlockWriter:
             self.charge("app", amount)
             if self.dfi:
                 self.charge("dfi", extra)
+            if isinstance(amount, int):
+                return False
             self.commit(here + INSTR_STRIDE)
-            return
+            return True
         else:
             raise _Unsupported(instr)
-        self.emit("cpu.rip += %d" % INSTR_STRIDE)
+        if ends:
+            self.emit("cpu.rip += %d" % INSTR_STRIDE)
+        return ends
+
+    def runtime_call(self, here, cost, call):
+        """Charge a runtime intrinsic, commit, then make ``call`` on the
+        process's BASTION runtime, if it has one."""
+        self.emit("stats.instrumentation_hits += 1")
+        self.charge("instrumentation", cost)
+        self.commit(here)
+        self.emit("runtime = cpu.proc.bastion_runtime")
+        self.emit("if runtime is not None:")
+        self.emit("runtime.%s" % call, 2)
+        self.known.clear()

@@ -71,6 +71,13 @@ class Memory:
 
     def read_block(self, addr, nwords):
         """Read ``nwords`` consecutive slots."""
+        if type(addr) is int and addr >= 0 and not addr & 7 and type(nwords) is int:
+            # Fast path, as in ``read``.  Two words is the monitor's usual
+            # read: a frame's [saved fp, return address], a shadow copy.
+            get = self._words.get
+            if nwords == 2:
+                return [get(addr, 0), get(addr + WORD, 0)]
+            return [get(slot, 0) for slot in range(addr, addr + WORD * nwords, WORD)]
         span = range(nwords)
         if not span:
             return []

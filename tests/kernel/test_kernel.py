@@ -304,6 +304,9 @@ class TestNegativeWriteCount:
         if name == "pwrite64" and target != "file":
             # pwrite64's fd checks come first: no fd at stdout, no seek on a socket
             expected = -errno.ESPIPE if target == "socket" else -errno.EBADF
+        if name == "sendto" and target == "file":
+            # sendto clamps the length, then finds no socket
+            expected = -errno.ENOTSOCK
         before = proc.ledger.cycles
         args = [fd, BUF, -1, 0] if name == "pwrite64" else [fd, BUF, -1]
         assert kernel.dispatch(proc, name, args) == expected
@@ -345,7 +348,8 @@ def _descriptors(kernel, proc):
 
 #: (syscall, fd kind, args after the fd, Linux's errno), each checked on
 #: Linux 6.18: a negative count fails with EFAULT (EINVAL for sendfile)
-#: after the fd checks, and I/O on a socket with no connection fails
+#: after the fd checks, I/O on a socket with no connection fails, and
+#: sendto/recvfrom on a descriptor that is no socket fail with ENOTSOCK
 _IO_ERRNO_CASES = [
     ("read", kind, [BUF, -1], expected)
     for kind, expected in (
@@ -377,6 +381,16 @@ _IO_ERRNO_CASES = [
     ("write", "socket", [BUF, 4], errno.EPIPE),
     ("write", "listening", [BUF, 4], errno.EPIPE),
     ("sendto", "socket", [BUF, 4, 0, 0, 0], errno.EPIPE),
+] + [
+    # Linux imports the buffer with its length clamped to MAX_RW_COUNT (a
+    # negative count passes for an ordinary buffer), then looks the socket
+    # up: ENOTSOCK for an installed descriptor that is no socket
+    (name, kind, [BUF, count, 0, 0, 0], errno.ENOTSOCK)
+    for name in ("sendto", "recvfrom")
+    for kind in ("file", "directory", "pipe_read", "pipe_write", "epoll")
+    for count in ((4, -1) if kind == "file" else (4,))
+] + [
+    (name, "closed", [BUF, 4, 0, 0, 0], errno.EBADF) for name in ("sendto", "recvfrom")
 ]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.attacks.runner import _target_module
 from repro.bench.harness import CONFIGS
 from repro.kernel import seccomp
-from repro.kernel.bpf import BPF_JEQ, BPF_JMP, BPF_K, BPFProgram
+from repro.kernel.bpf import BPF_JEQ, BPF_JMP, BPF_K, BPFProgram, SeccompData
 from repro.kernel.kernel import Kernel
 from repro.kernel.seccomp import (
     SECCOMP_RET_ACTION_FULL,
@@ -196,3 +196,68 @@ class TestSharedPrograms:
         assert len(built) == filters
         first, second = (proc.seccomp_filters[0] for proc in procs)
         assert first is not second and first.program is second.program
+
+
+def _launched_programs():
+    """Every program a launch attaches: each defense config (and BASTION
+    without its call-type context, which filters differently) over every
+    attack target and application, plus an argument pin."""
+    from repro.attacks.runner import TARGETS
+    from repro.bench.harness import DefenseConfig, build_app
+    from repro.monitor.policy import ContextPolicy
+
+    configs = list(CONFIGS.values()) + [
+        DefenseConfig("cf", cet=True, policy=ContextPolicy.cf_only()),
+        DefenseConfig("cf_fs", cet=True, policy=ContextPolicy.cf_only(), extend_filesystem=True),
+    ]
+    targets = [(name, _target_module(name)) for name in sorted(TARGETS)]
+    targets += [(app, build_app(app)) for app in ("nginx", "sqlite", "vsftpd")]
+    programs = {}
+    for app, module in targets:
+        for config in configs:
+            proc, _cpu = config.mechanism().launch(Kernel(), app, module)
+            for filt in proc.seccomp_filters:
+                programs[id(filt.program)] = filt.program
+    pin = seccomp.build_arg_constraint_filter("mprotect", 3, (1, 3)).program
+    programs[id(pin)] = pin
+    return list(programs.values())
+
+
+class TestVerdictMemo:
+    """An nr-only program answers from its ``(nr, arch)`` memo exactly what
+    the interpreter computes, and a fault-flipped copy starts empty."""
+
+    NRS = ALL_NRS + (9999,)
+
+    def _check(self, program):
+        for nr in self.NRS:
+            for data in (SeccompData(nr), SeccompData(nr, arch=0)):
+                expected = program.interpret(data)
+                assert program.run(data) == expected  # fills the memo
+                assert program.run(data) == expected  # answers from it
+
+    def test_memo_matches_the_interpreter_on_every_launched_program(self):
+        programs = _launched_programs()
+        assert sum(p.nr_only for p in programs) >= 10
+        assert not all(p.nr_only for p in programs)  # the argument pin
+        for program in programs:
+            self._check(program)
+            if not program.nr_only:
+                data = SeccompData(10, args=(0, 0, 7, 0, 0, 0))
+                assert program.run(data) == program.interpret(data)
+
+    def test_fault_flipped_copy_keeps_its_own_memo(self):
+        """The fault injector's copy-on-fault program is new: it answers
+        with its flipped JEQ, never from the original's memo."""
+        for program in _launched_programs():
+            if not program.nr_only:
+                continue
+            self._check(program)
+            insns = program.instructions
+            jeqs = [i for i, ins in enumerate(insns) if ins.code == BPF_JMP | BPF_JEQ | BPF_K]
+            for i in jeqs[:2]:  # the arch check (the injector's pick), then an nr
+                flipped = list(insns)
+                flipped[i] = dataclasses.replace(insns[i], k=(insns[i].k ^ (1 << 3)) & 0xFFFFFFFF)
+                flipped = BPFProgram(flipped)
+                assert flipped != program and flipped.nr_only
+                self._check(flipped)

@@ -4,21 +4,23 @@
 ``main`` and up to three helpers, each a random sequence of operations
 drawn from every instruction kind the VM executes.  Values range beyond
 64 bits, memory accesses go to good, negative and unaligned addresses,
-and loops, calls, a syscall wrapper, ``cycle_burn``, ``trace`` and a
-``hook`` point appear.  Indirect calls pass fewer, as many or more
+and loops, calls, a syscall wrapper, ``cycle_burn``, ``trace``, a
+``hook`` point and the BASTION runtime's ``ctx_write_mem`` and
+``ctx_bind_*`` intrinsics (constant and computed sizes, argument
+positions in and out of range) appear.  Indirect calls pass fewer, as many or more
 arguments than their callee takes, and some land on no function entry:
 a helper's ``ret``, data, a misaligned address, or between text and
 data.  Every loop has a constant trip count, a call (direct or indirect)
 reaches only an earlier helper, and no generated write can reach a loop
 counter or a saved frame word, so each program ends: by returning, by a
 fault, or by an exception the reference VM raises too (a negative
-``cycle_burn``, a float-overflowing ``//``).
+``cycle_burn``, a float-overflowing ``//``, a bind position out of range).
 """
 
 from hypothesis import strategies as st
 
 from repro.ir.builder import ModuleBuilder
-from repro.ir.instructions import BINOPS, Imm
+from repro.ir.instructions import BINOPS, CTX_BIND_CONST, CTX_BIND_MEM, CTX_WRITE_MEM, Imm
 from repro.vm.loader import DATA_BASE, INSTR_STRIDE
 from repro.vm.memory import WORD
 from tests.conftest import make_wrapper
@@ -90,7 +92,7 @@ class _Emitter:
             st.sampled_from(
                 ["const", "binop", "binop", "binop", "move", "load", "store",
                  "local", "gep", "call", "icall", "icall", "icall", "syscall",
-                 "burn", "trace", "hook", "loop", "if", "bad"]
+                 "burn", "trace", "hook", "loop", "if", "bad", "write_mem", "bind"]
             )
         )
         if kind == "const":
@@ -131,6 +133,22 @@ class _Emitter:
             fb.intrinsic("trace", [self.operand() for _ in range(self.draw(st.integers(1, 2)))])
         elif kind == "hook":
             fb.hook(HOOK_POINT)
+        elif kind == "write_mem":
+            addr = self.buf_addr() if self.draw(st.integers(0, 4)) else self.bad_addr()
+            if self.draw(st.booleans()):
+                size = Imm(self.draw(st.integers(min_value=-1, max_value=3)))
+            else:
+                size = fb.binop("%", self.operand(), 4)  # computed; may be negative
+            fb.intrinsic(CTX_WRITE_MEM, [addr, size])
+        elif kind == "bind":
+            name = self.draw(st.sampled_from([CTX_BIND_MEM, CTX_BIND_CONST]))
+            value = self.buf_addr() if name == CTX_BIND_MEM else self.operand()
+            fb.intrinsic(
+                name,
+                [value],
+                callsite_index=self.draw(st.integers(0, 40)),
+                pos=self.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 1, 2, 0, 7])),
+            )
         elif kind == "loop" and depth < 2:
 
             def body(counter):

@@ -17,10 +17,11 @@ from repro.attacks.catalog import attack_by_name
 from repro.attacks.runner import run_attack
 from repro.bench.harness import CONFIGS
 from repro.ir.builder import ModuleBuilder
-from repro.ir.instructions import Const, Ret, Var
+from repro.ir.instructions import CTX_BIND_CONST, CTX_BIND_MEM, CTX_WRITE_MEM, Const, Imm, Ret, Var
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.monitor.policy import ContextPolicy
+from repro.runtime.bastion_rt import BastionRuntime
 from repro.vm import blocks
 from repro.vm.costs import CostModel, CycleLedger
 from repro.vm.cpu import CPU, CPUOptions
@@ -35,11 +36,26 @@ QUANTA = (None, 40, 7, 3, 1)
 STEP_BUDGETS = (CPUOptions().max_steps, 60, 17, 5)
 
 
+class _Notes:
+    """A shadow-update listener that logs each notification."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def on_shadow_write(self, slot_addr):
+        self.log.append(["shadow", slot_addr])
+
+    def on_bind_write(self, callsite_addr):
+        self.log.append(["bind", callsite_addr])
+
+
 def observe(module, options, quantum=None, breakpoint=None):
     """Run ``module`` slice by slice; everything a run leaves observable."""
     kernel = Kernel()
     image = Image(module)
     proc = kernel.create_process(module.name, image)
+    proc.bastion_runtime = BastionRuntime(proc)
+    proc.bastion_runtime.subscribe(_Notes(proc.trace_log))
     cpu = CPU(image, proc, kernel, options)
     cpu.hooks[HOOK_POINT] = poke
     if breakpoint is not None:
@@ -117,6 +133,45 @@ def test_negative_cost_leaves_every_instruction_to_step():
                 cpu.run()
         outcomes.append((cpu.stats, cpu.rip, proc.ledger.cycles))
     assert outcomes[0] == outcomes[1]
+
+
+def _intrinsics_module():
+    """Constant-size runtime intrinsics and a constant burn, then a computed
+    burn that is negative (``_step`` raises on it)."""
+    mb = ModuleBuilder("m")
+    mb.global_words("g_buf", [1, 2, 3])
+    f = mb.function("main")
+    buf = f.addr_global("g_buf")
+    f.intrinsic(CTX_WRITE_MEM, [buf, Imm(2)])
+    f.intrinsic(CTX_BIND_MEM, [buf], callsite_index=9, pos=2)
+    f.burn(40)
+    f.intrinsic(CTX_BIND_CONST, [Imm(7)], callsite_index=9, pos=3)
+    f.burn(f.binop("%", f.sub(0, 5), 64))
+    f.ret(0)
+    return mb.build()
+
+
+def test_runtime_intrinsics_and_constant_burns_stay_in_the_block(monkeypatch):
+    """One block runs from the entry through the computed burn, which it
+    hands to ``_step``: each step counts once, every quantum preempts where
+    ``_step`` does, and the shadow writes land alike."""
+    built = []
+    compile_block = blocks._compile_block
+
+    def recording(func, image, base, context, start):
+        entry = compile_block(func, image, base, context, start)
+        built.append((start, entry and entry[1]))
+        return entry
+
+    monkeypatch.setattr(blocks, "_codes", blocks.weakref.WeakKeyDictionary())
+    monkeypatch.setattr(blocks, "_compile_block", recording)
+    module = _intrinsics_module()
+    compiled = [observe(module, CPUOptions(), quantum) for quantum in (None, 30, 60)]
+    assert built[0] == (0, 8)  # all but the ret: through the computed burn
+    assert compiled[0]["status"] == ("raised", "ValueError", "negative cycle charge")
+    with reference_steps():
+        reference = [observe(module, CPUOptions(), quantum) for quantum in (None, 30, 60)]
+    assert compiled == reference
 
 
 def _loop_module():

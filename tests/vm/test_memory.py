@@ -57,7 +57,10 @@ starts = st.one_of(
     st.just("0x1000"),
     st.just(True),
 )
-lengths = st.one_of(st.just(0), st.integers(-3, -1), st.integers(1, 600))
+#: a two-word read (the monitor's usual one) has its own fast path
+lengths = st.one_of(
+    st.just(0), st.integers(-3, -1), st.integers(1, 4), st.integers(1, 600), st.just(2.0)
+)
 slot_values = st.one_of(
     st.integers(0, 255),
     st.integers(-(1 << 70), 1 << 70),
@@ -223,6 +226,21 @@ class TestProperties:
 
 
 class TestBulkEqualsPerWord:
+    @pytest.mark.parametrize("nwords", [1, 2, 3, 2.0])
+    @pytest.mark.parametrize(
+        "start", [SEED_BASE, SEED_BASE + WORD, SEED_BASE + 40 * WORD, SEED_BASE + 3, -WORD, True]
+    )
+    def test_short_reads_equal_per_word_loops(self, start, nwords):
+        """The two-word fast path (a frame, a shadow copy) and its
+        neighbours, over set, half-set and unset slots and bad starts."""
+        bulk, reference = Memory(), PerWord()
+        for memory in (bulk, reference):
+            memory.write(SEED_BASE, 7)
+            memory.write(SEED_BASE + 2 * WORD, 9)
+        assert _outcome(bulk, "read_block", start, nwords) == _outcome(
+            reference, "read_block", start, nwords
+        )
+
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.lists(st.tuples(st.integers(0, 80), slot_values), max_size=60),
