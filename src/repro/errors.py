@@ -80,5 +80,9 @@ class MonitorError(ReproError):
     """BASTION monitor misconfiguration (bad metadata, missing tracee)."""
 
 
+class PtraceError(ReproError, OSError):
+    """A tracer's read of tracee memory failed (``errno`` EFAULT or EIO)."""
+
+
 class AttackError(ReproError):
     """An attack script could not even be staged (target symbol missing)."""

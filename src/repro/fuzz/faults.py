@@ -33,10 +33,10 @@ as the fuzzer and classify each (mechanism, fault) cell:
 - ``not-reached``  the injector never fired (e.g. a filter-state fault
   under a mechanism that installs no filter).
 
-Notable honest physics: BASTION's argument-integrity context compares
-*memory-resident* variables against shadow copies, so a register-only flip
-after the wrapper loaded its variables is invisible to it — exactly the
-gap SFP's hardware protection argues filters and monitors leave open.
+Notable honest physics: the monitor compares dispatched arguments with
+their shadow copies, so only a ``pre_execute`` flip of a sensitive
+syscall's bound argument gets past it — the gap SFP's hardware protection
+targets.  The pinned ``arg_register`` row flips ``write``: never stopped on.
 """
 
 import dataclasses

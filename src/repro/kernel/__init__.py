@@ -12,7 +12,7 @@ Implements just enough of Linux for the paper's experiments to be faithful:
 - :mod:`repro.kernel.mm` — mmap/mprotect region tracking (DEP + the
   memory-permission attack goals of Table 1);
 - :mod:`repro.kernel.cred` — uid/gid credentials (privilege escalation);
-- :mod:`repro.kernel.process` — process control blocks and register files;
+- :mod:`repro.kernel.process` — process control blocks and the GETREGS register file;
 - :mod:`repro.kernel.ptrace` — the tracing transport the monitor uses
   (PTRACE_GETREGS / PTRACE_PEEKDATA / process_vm_readv), with an
   "in-kernel" transport variant for the §11.2 ablation;

@@ -67,11 +67,15 @@ def trace_only(fn):
 
 @dataclass
 class SyscallContext:
-    """Everything one in-flight syscall dispatch carries between stages."""
+    """The one record of an in-flight syscall, carried between stages."""
 
     proc: object
     name: str
     args: object
+    #: the issuing CPU's registers at the syscall instruction
+    rip: int = 0
+    rbp: int = 0
+    rsp: int = 0
     #: seccomp said TRACE/TRAP: the trace_stop stage must fire
     trace: bool = False
     #: the tracer resolved the stop on its fast path (batched trap cost)

@@ -1,10 +1,9 @@
 """The syscall dispatcher and handler table.
 
 ``Kernel.dispatch`` is the single entry point the CPU calls at a
-``syscall`` instruction (``attach_strace`` taps it per instance).  It
-drives one :class:`~repro.kernel.dispatch.SyscallContext` through the
-explicit dispatch pipeline (``repro.kernel.dispatch``), whose stage
-order matches Linux:
+``syscall`` instruction.  It drives one :class:`~repro.kernel.dispatch.SyscallContext`
+through the explicit dispatch pipeline (``repro.kernel.dispatch``), whose
+stage order matches Linux:
 
 1. **block/count** — scheduler blocking, then syscall accounting;
 2. **seccomp** — every attached filter runs (cycle cost scales with BPF
@@ -380,9 +379,10 @@ class Kernel:
     # dispatcher (the staged syscall pipeline)
     # ------------------------------------------------------------------
 
-    def dispatch(self, proc, name, args):
-        """Dispatch one syscall through the staged pipeline."""
-        return self.pipeline.run(SyscallContext(proc, name, args))
+    def dispatch(self, proc, name, args, rip=0, rbp=0, rsp=0):
+        """Dispatch one syscall; its context stays on as ``proc.syscall``."""
+        ctx = proc.syscall = SyscallContext(proc, name, args, rip, rbp, rsp)
+        return self.pipeline.run(ctx)
 
     def _build_pipeline(self):
         pipeline = DispatchPipeline(self.telemetry)
@@ -423,7 +423,7 @@ class Kernel:
         action, insns = evaluate_filters(
             proc.seccomp_filters,
             nr,
-            ip=proc.regs.rip,
+            ip=ctx.rip,
             args=tuple(ctx.args) + (0,) * (6 - len(ctx.args)),
         )
         proc.ledger.charge(

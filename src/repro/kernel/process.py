@@ -1,4 +1,4 @@
-"""Process control blocks and register files."""
+"""Process control blocks, and the registers a tracer reads at a stop."""
 
 from dataclasses import dataclass, field
 
@@ -31,26 +31,18 @@ class RegisterFile:
 
     ARG_ORDER = ("rdi", "rsi", "rdx", "r10", "r8", "r9")
 
+    @classmethod
+    def of(cls, ctx):
+        """The registers at the syscall of dispatch context ``ctx``."""
+        args = tuple(ctx.args) + (0,) * (6 - len(ctx.args))
+        return cls(nr_of(ctx.name), *args[:6], ctx.rip, ctx.rbp, ctx.rsp)
+
     def syscall_args(self):
         return tuple(getattr(self, reg) for reg in self.ARG_ORDER)
 
     def arg(self, position):
         """1-based syscall argument."""
         return getattr(self, self.ARG_ORDER[position - 1])
-
-    def copy(self):
-        return RegisterFile(
-            self.rax,
-            self.rdi,
-            self.rsi,
-            self.rdx,
-            self.r10,
-            self.r8,
-            self.r9,
-            self.rip,
-            self.rbp,
-            self.rsp,
-        )
 
 
 class FDTable:
@@ -102,12 +94,11 @@ class FDTable:
 
 @dataclass
 class Process:
-    """A simulated process: memory, registers, fds, creds, seccomp, tracer."""
+    """A simulated process: memory, fds, creds, seccomp, tracer."""
 
     pid: int
     name: str = "app"
     memory: Memory = field(default_factory=Memory)
-    regs: RegisterFile = field(default_factory=RegisterFile)
     fdtable: FDTable = field(default_factory=FDTable)
     creds: Credentials = field(default_factory=Credentials)
     mm: object = None  # AddressSpace, set at load time
@@ -118,6 +109,8 @@ class Process:
     seccomp_cache_hits: int = 0
     seccomp_cache_misses: int = 0
     tracer: object = None  # BastionMonitor (or any on_syscall_stop object)
+    #: the SyscallContext of the syscall in flight (or the last one)
+    syscall: object = None
     #: exception the dispatcher should raise for this process (set by the
     #: monitor's kill verdict so callers can catch SyscallIntegrityViolation)
     pending_exception: object = None
@@ -144,16 +137,6 @@ class Process:
     #: BASTION pieces attached by the monitor at launch
     bastion_runtime: object = None
     cpu: object = None
-
-    def set_registers(self, syscall_name, args, rip, rbp, rsp):
-        """Materialize the register file at a syscall instruction."""
-        regs = self.regs
-        regs.rax = nr_of(syscall_name)
-        padded = list(args) + [0] * (6 - len(args))
-        regs.rdi, regs.rsi, regs.rdx, regs.r10, regs.r8, regs.r9 = padded[:6]
-        regs.rip = rip
-        regs.rbp = rbp
-        regs.rsp = rsp
 
     def kill(self, reason):
         self.alive = False

@@ -5,14 +5,16 @@ protected application through this interface (§7.1): PTRACE_GETREGS for the
 register file, PTRACE_PEEKDATA / ``process_vm_readv`` for memory (stack
 frames, argument pointees, the shadow region).  Every call charges realistic
 cycle costs to the run's ledger — the dominant overhead the paper measures
-in Table 7.
+in Table 7.  A read of a bad address is charged, then fails (``PtraceError``).
 
 For the §11.2 ablation ("run the monitor inside the kernel"), construct the
 handle with ``transport="inkernel"``: the same API, but each access costs a
 direct memory read instead of a cross-process round trip.
 """
 
-from repro.errors import MonitorError
+from repro.errors import MonitorError, PtraceError, SegmentationFault
+from repro.kernel.errno import EFAULT, EIO
+from repro.kernel.process import RegisterFile
 from repro.vm.memory import WORD
 
 
@@ -49,10 +51,10 @@ class PtraceHandle:
     # -- the ptrace surface ---------------------------------------------------
 
     def getregs(self):
-        """PTRACE_GETREGS: a copy of the stopped process's registers."""
+        """PTRACE_GETREGS, read from the syscall in flight (``proc.syscall``)."""
         self.getregs_calls += 1
         self.proc.ledger.charge(self._getregs_cost, self._category)
-        return self.proc.regs.copy()
+        return RegisterFile.of(self.proc.syscall)
 
     def peekdata(self, addr):
         """PTRACE_PEEKDATA: one word of tracee memory."""
@@ -67,7 +69,10 @@ class PtraceHandle:
             by_category[self._category] = by_category.get(self._category, 0) + cost
         else:
             ledger.charge(cost, self._category)
-        return proc.memory.read(addr)
+        try:
+            return proc.memory.read(addr)
+        except SegmentationFault as fault:
+            raise PtraceError(EIO, "PTRACE_PEEKDATA: %s" % fault) from None
 
     def readv(self, addr, nwords):
         """process_vm_readv: a block of tracee memory in one round trip."""
@@ -82,7 +87,10 @@ class PtraceHandle:
             by_category[self._category] = by_category.get(self._category, 0) + cost
         else:
             ledger.charge(cost, self._category)
-        return proc.memory.read_block(addr, nwords)
+        try:
+            return proc.memory.read_block(addr, nwords)
+        except SegmentationFault as fault:
+            raise PtraceError(EFAULT, "process_vm_readv: %s" % fault) from None
 
     def read_cstr(self, addr, max_slots=256):
         """Read a NUL-terminated string via chunked readv."""

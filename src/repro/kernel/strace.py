@@ -1,8 +1,8 @@
 """An strace-style syscall tracer for the simulated kernel.
 
-Wraps a process's existing tracer (or none) and records every *dispatched*
-syscall with decoded arguments — string pointees for path arguments,
-flag names for protections — producing output a Linux user would recognize::
+Records every syscall that reaches its dispatch verdict with decoded
+arguments — string pointees for path arguments, flag names for
+protections — producing output a Linux user would recognize::
 
     openat(AT_FDCWD, "/etc/nginx/nginx.conf", O_RDONLY) = 3
     mmap(NULL, 16384, PROT_READ|PROT_WRITE, MAP_PRIVATE|MAP_ANONYMOUS, -1, 0) = 0x7f0000000000
@@ -70,15 +70,16 @@ class Strace:
     entries: list = field(default_factory=list)
     filter_names: frozenset = None  # None = everything
 
-    def record(self, proc, name, args, result):
+    def record(self, ctx):
+        name, args = ctx.name, ctx.args
         if self.filter_names is not None and name not in self.filter_names:
             return
         nargs = argspec_for(name)
         shown = args[: max(len(nargs.kinds), len(args))]
         rendered = tuple(
-            format_arg(proc, name, i + 1, value) for i, value in enumerate(shown)
+            format_arg(ctx.proc, name, i + 1, value) for i, value in enumerate(shown)
         )
-        self.entries.append(TraceEntry(name, tuple(args), rendered, result))
+        self.entries.append(TraceEntry(name, tuple(args), rendered, ctx.result))
 
     def lines(self):
         return [str(entry) for entry in self.entries]
@@ -94,18 +95,11 @@ class Strace:
 
 
 def attach_strace(kernel, only=None):
-    """Tap the kernel's dispatcher; returns the :class:`Strace` log.
+    """Tap the kernel's dispatch pipeline; returns the :class:`Strace` log.
 
-    Decorates ``kernel.dispatch`` so every syscall (post-seccomp) is
-    recorded with its decoded arguments and result.
+    An ``account`` hook records the syscall the handler ran, or an ERRNO
+    short-circuit; a killed or parked syscall never reaches ``account``.
     """
     trace = Strace(filter_names=frozenset(only) if only else None)
-    original = kernel.dispatch
-
-    def dispatch(proc, name, args):
-        result = original(proc, name, args)
-        trace.record(proc, name, args, result)
-        return result
-
-    kernel.dispatch = dispatch
+    kernel.pipeline.insert("account", trace.record)
     return trace

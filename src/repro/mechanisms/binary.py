@@ -72,7 +72,7 @@ class BinaryOnlyMechanism(ProtectionMechanism):
             target = ctx.proc
             self.checks += 1
             target.ledger.charge(costs.monitor_check, "binary_calltype")
-            kind = self._classify(recovery, target)
+            kind = self._classify(recovery, ctx)
             if kind is not None and kind in call_kinds.get(ctx.name, ()):
                 return
             self.kills += 1
@@ -95,7 +95,7 @@ class BinaryOnlyMechanism(ProtectionMechanism):
         kernel.pipeline.insert("seccomp", call_type_check)
 
     @staticmethod
-    def _classify(recovery, proc):
+    def _classify(recovery, ctx):
         """Call type of the trapped syscall: 'direct' | 'indirect' | None.
 
         A syscall instruction outside any recovered wrapper is an inline
@@ -104,11 +104,10 @@ class BinaryOnlyMechanism(ProtectionMechanism):
         first hop — so a ROP return into the wrapper (no call instruction
         at the "callsite") classifies as None and dies.
         """
-        regs = proc.regs
-        if recovery.wrapper_at(regs.rip) is None:
+        if recovery.wrapper_at(ctx.rip) is None:
             return "direct"
         try:
-            return_addr = proc.memory.read(regs.rbp + WORD)
+            return_addr = ctx.proc.memory.read(ctx.rbp + WORD)
         except SegmentationFault:
             return None  # pivoted frame pointer: unreadable chain
         if return_addr == 0:

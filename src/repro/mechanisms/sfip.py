@@ -131,7 +131,7 @@ class SfipMechanism(ProtectionMechanism):
             origins = table.get(prev, {}).get(ctx.name)
             ok = origins is not None
             if ok and check_origin:
-                issuer = image.func_containing(target.regs.rip)
+                issuer = image.func_containing(ctx.rip)
                 ok = issuer in origins
             if ok:
                 state[target.pid] = ctx.name

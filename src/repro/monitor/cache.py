@@ -44,6 +44,7 @@ counter keys.
 
 from dataclasses import dataclass
 
+from repro.errors import PtraceError
 from repro.telemetry import BusCounter, BusMax, BusView
 
 
@@ -221,10 +222,13 @@ class VerdictCache:
         """One ``readv`` re-validates the cached chain's first frame.
 
         The frame holds ``[saved_fp, return_addr]`` at ``[rbp, rbp+8]``; a
-        hijacked return address or a repointed saved frame pointer at the
-        trapped frame breaks the probe and forces a full re-unwind.
+        hijacked return address, a repointed saved frame pointer or an
+        unreadable frame breaks the probe and forces a full re-unwind.
         """
-        saved_fp, return_addr = pt.readv(regs.rbp, 2)
+        try:
+            saved_fp, return_addr = pt.readv(regs.rbp, 2)
+        except PtraceError:
+            saved_fp = return_addr = None
         expected_fp, expected_ret = entry.probe
         if return_addr != expected_ret or (
             expected_fp is not None and saved_fp != expected_fp

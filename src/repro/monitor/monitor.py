@@ -21,7 +21,7 @@ a stop derives nothing the image and the metadata already fix.
 
 from dataclasses import dataclass, field
 
-from repro.errors import ProcessKilled
+from repro.errors import ProcessKilled, PtraceError
 from repro.kernel.ptrace import PtraceHandle
 from repro.kernel.seccomp import (
     SECCOMP_RET_KILL_PROCESS,
@@ -401,9 +401,12 @@ class BastionMonitor:
                     return False
             if policy.arg_integrity:
                 before = ledger.cycles
-                verdict = self.verifier.verify_arg_integrity(
-                    pt, regs, syscall_name, frames, inline, enforce
-                )
+                try:
+                    verdict = self.verifier.verify_arg_integrity(
+                        pt, regs, syscall_name, frames, inline, enforce
+                    )
+                except PtraceError as error:  # a pointee or parameter slot
+                    verdict = Violation("arg-integrity", syscall_name, error.strerror, regs.rip)
                 bus.charge_stage("verify.arg_integrity", ledger.cycles - before)
                 if verdict is not None and enforce:
                     self._verdict(pt, verdict)

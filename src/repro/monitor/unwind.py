@@ -16,6 +16,7 @@ from the image as it comes, and never added to the table.
 
 from dataclasses import dataclass
 
+from repro.errors import PtraceError
 from repro.ir.instructions import Call, CallIndirect, Syscall
 from repro.vm.loader import INSTR_STRIDE
 from repro.vm.memory import WORD
@@ -31,8 +32,8 @@ class Frame:
         fp: the frame pointer value.
         return_addr: saved return address (0 at the main sentinel).
         callsite_addr: ``return_addr - 4`` (None at the bottom).
-        kind: 'direct' | 'indirect' | None (not a call instruction) |
-            'bottom' (main sentinel reached).
+        kind: 'direct' | 'indirect' | None (not a call, or an unreadable frame:
+            then ``callsite_addr`` is None too) | 'bottom' (main sentinel reached).
     """
 
     func: str
@@ -70,7 +71,7 @@ def unwind_stack(pt, regs, image, max_frames=64):
     The first frame is the one containing the trapped syscall instruction
     (its ``callsite_addr`` is the call that *invoked* that function).  The
     walk stops at the main sentinel (return address 0), at a hijacked chain
-    (unresolvable return address), or after ``max_frames``.
+    (unresolvable return address or unreadable frame), or at ``max_frames``.
     """
     sites, syscalls = code_sites(image)
     readv = pt.readv
@@ -80,7 +81,11 @@ def unwind_stack(pt, regs, image, max_frames=64):
     if func is None:
         func = image.func_containing(regs.rip)
     while len(frames) < max_frames:
-        saved_fp, return_addr = readv(fp, 2)
+        try:
+            saved_fp, return_addr = readv(fp, 2)
+        except PtraceError:
+            frames.append(Frame(func, fp, 0))
+            break
         if return_addr == 0:
             frames.append(Frame(func, fp, 0, None, "bottom"))
             break

@@ -205,7 +205,9 @@ class ContextVerifier:
                 return Violation(
                     "control-flow",
                     syscall_name,
-                    "return address %#x does not follow a call" % frame.return_addr,
+                    "return address %#x does not follow a call" % frame.return_addr
+                    if frame.callsite_addr is not None
+                    else "frame of %s at %#x cannot be read" % (frame.func, frame.fp),
                     regs.rip,
                 )
             if frame.kind == "indirect":

@@ -716,9 +716,9 @@ class _BlockWriter:
         dst = None if instr.dst is None else self.slot(instr.dst)
         self.charge("kernel", self.costs.syscall_base)
         self.commit(here)
-        self.emit("args = [%s]" % ", ".join(args))
-        self.emit("cpu.proc.set_registers(%r, args, %d, fp, cpu.sp)" % (instr.name, here))
-        dispatch = "cpu.kernel.dispatch(cpu.proc, %r, args)" % instr.name
+        dispatch = "cpu.kernel.dispatch(cpu.proc, %r, [%s], %d, fp, cpu.sp)" % (
+            instr.name, ", ".join(args), here
+        )
         if dst is None:
             self.emit(dispatch)
         else:

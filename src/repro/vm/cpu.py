@@ -11,10 +11,10 @@ Faithfulness properties that matter for the paper's experiments:
   before it reaches a syscall — which is what the argument-integrity context
   exists to catch.
 - **Syscall arguments travel through registers.**  At a ``syscall``
-  instruction the CPU materializes rax/rdi/.../r9/rip/rbp/rsp into the
-  process's register file, then lets the kernel run seccomp and (possibly)
-  stop the process for its tracer — the monitor sees exactly what a real
-  ptrace-based monitor would.
+  instruction the CPU hands the kernel the arguments with its rip, fp and
+  sp, which seccomp, the tracer's PTRACE_GETREGS and the handler all read
+  from one dispatch context — the monitor sees what a real ptrace-based
+  monitor would.
 - **DEP.**  Jumping to a non-text address raises an execution fault unless
   the attacker first made a mapped region executable (the ``mprotect``
   weaponization the paper's Table 1 tracks); the kernel records that event
@@ -530,9 +530,8 @@ class CPU:
 
     def _do_syscall(self, instr):
         args = [_wrap(self._value(a)) for a in instr.args]
-        self.proc.set_registers(instr.name, args, self.rip, self.fp, self.sp)
         self.ledger.charge(self.costs.syscall_base, "kernel")
-        result = self.kernel.dispatch(self.proc, instr.name, args)
+        result = self.kernel.dispatch(self.proc, instr.name, args, self.rip, self.fp, self.sp)
         if instr.dst is not None:
             self._set_var(instr.dst, result)
 

@@ -90,27 +90,24 @@ class TestRuntimeEnforcement:
         the recorded origin set (a replay from injected/reused code) the
         origin variant kills where plain sfip admits."""
         kernel, mechanism, proc, cpu = _launch("sfip_origin")
-        proc.regs.rip = cpu.image.addr_of("open")
-        kernel.dispatch(proc, "open", [0, 0])
-        proc.regs.rip = cpu.image.addr_of("close")
-        kernel.dispatch(proc, "close", [3])
-        proc.regs.rip = cpu.image.addr_of("serve_request")
+        kernel.dispatch(proc, "open", [0, 0], rip=cpu.image.addr_of("open"))
+        kernel.dispatch(proc, "close", [3], rip=cpu.image.addr_of("close"))
         with pytest.raises(ProcessKilled):
-            kernel.dispatch(proc, "execve", [0, 0, 0])
+            kernel.dispatch(
+                proc, "execve", [0, 0, 0], rip=cpu.image.addr_of("serve_request")
+            )
         assert proc.kill_reason.startswith("sfip-origin:")
         assert "not a recorded origin" in proc.kill_reason
 
         # the identical syscall sequence from the recorded origins passes
         kernel, mechanism, proc, cpu = _launch("sfip_origin")
         for name, args in (("open", [0, 0]), ("close", [3]), ("execve", [0, 0, 0])):
-            proc.regs.rip = cpu.image.addr_of(name)
-            kernel.dispatch(proc, name, args)
+            kernel.dispatch(proc, name, args, rip=cpu.image.addr_of(name))
         assert mechanism.kills == 0
 
         # and plain sfip admits the replay: the variants' precision gap
         kernel, mechanism, proc, cpu = _launch("sfip")
         kernel.dispatch(proc, "open", [0, 0])
         kernel.dispatch(proc, "close", [3])
-        proc.regs.rip = cpu.image.addr_of("serve_request")
-        kernel.dispatch(proc, "execve", [0, 0, 0])
+        kernel.dispatch(proc, "execve", [0, 0, 0], rip=cpu.image.addr_of("serve_request"))
         assert mechanism.kills == 0

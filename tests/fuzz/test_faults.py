@@ -1,5 +1,7 @@
 """Dispatch-time fault injection through the pipeline insert() API."""
 
+import pytest
+
 from repro.fuzz.faults import (
     CAMPAIGN_SPECS,
     CLASSIFICATIONS,
@@ -54,15 +56,40 @@ def test_number_flip_pre_seccomp_caught_by_bastion_only():
 
 
 def test_register_only_arg_flip_evades_the_monitor():
-    # the monitor verifies memory-resident shadow variables, not the
-    # register file: a dispatch-time argument flip is invisible to AI —
-    # the honest SFP motivation this subsystem exists to demonstrate
+    # the pinned row flips write's count, and write is not sensitive: no
+    # monitor stops on it, so the flip runs unchecked.  The monitor does
+    # compare argument registers with their shadow copies — a flip on a
+    # sensitive syscall is caught unless it lands after every check
+    # (test_sensitive_argument_flip_caught_before_execute)
     result = run_fault_campaign(
         mechanisms=("bastion",),
         specs=(FaultSpec(site="arg_register", stage="pre_seccomp"),),
     )
     cell = result["cells"]["arg_register@pre_seccomp"]["bastion"]
     assert cell["class"] == "missed"
+
+
+@pytest.mark.parametrize(
+    "syscall, occurrence, arg_index, bit, late",
+    [
+        ("mprotect", 2, 2, 2, "masked"),  # prot 0x1 -> 0x5
+        ("accept4", 1, 0, 3, "missed"),  # fd 4 -> 12
+        ("mmap", 1, 2, 2, "missed"),  # prot 0x3 -> 0x7: RW -> RWX
+    ],
+)
+def test_sensitive_argument_flip_caught_before_execute(syscall, occurrence, arg_index, bit, late):
+    # the monitor reads the arguments the dispatch carries: a flip of a
+    # bound argument before the trace stop fails argument integrity, and
+    # only a flip after every check (pre_execute) reaches the handler
+    specs = tuple(
+        FaultSpec("arg_register", stage, syscall, occurrence, bit, arg_index)
+        for stage in FAULT_STAGES
+    )
+    cells = run_fault_campaign(mechanisms=("bastion",), specs=specs)["cells"]
+    for stage in ("pre_seccomp", "post_seccomp"):
+        cell = cells["arg_register@" + stage]["bastion"]
+        assert (cell["class"], cell["blocked_by"]) == ("caught", "arg-integrity")
+    assert cells["arg_register@pre_execute"]["bastion"]["class"] == late
 
 
 def test_filter_state_fault_is_fail_stop_under_bastion():

@@ -1,5 +1,6 @@
 """Tests for the strace-style kernel tap."""
 
+from repro.fuzz.faults import FaultInjector, FaultSpec
 from repro.kernel.kernel import Kernel
 from repro.kernel.strace import attach_strace, format_arg, format_result
 from repro.ir.builder import ModuleBuilder
@@ -72,3 +73,21 @@ def test_str_renders_lines():
     trace = _run_with_trace()
     text = str(trace)
     assert text.count("\n") == 3
+
+
+def test_records_the_syscall_the_handler_ran():
+    """A number flip before seccomp turns the program's ``write`` into
+    ``mmap``: the log shows the syscall that ran, not the one issued."""
+    mb = ModuleBuilder("t")
+    f = mb.function("main")
+    f.syscall("write", [1, 0, 0])
+    f.ret(0)
+    image = Image(mb.build())
+    kernel = Kernel()
+    trace = attach_strace(kernel)
+    proc = kernel.create_process("t", image)
+    fault = FaultSpec(site="syscall_number", stage="pre_seccomp", occurrence=1)
+    injector = FaultInjector(fault).install(kernel, proc)
+    assert CPU(image, proc, kernel, CPUOptions()).run().kind == "returned"
+    assert injector.detail == "write(1) -> mmap(9)"
+    assert trace.counts() == {"mmap": 1}

@@ -6,7 +6,11 @@ a fresh ptrace handle per stop that charges through
 return address from the image (``Image.call_kind_at``, then
 ``func_containing``), shadow-table readers that probe through a
 generator, metadata resolved per monitor and argument specs looked up per
-stop.  :func:`reference_stops` swaps it in for
+stop.  It follows the planned stop's rules for the tracee state it
+reads: the registers come from the syscall in flight, and a read the
+tracee could not make fails, which ends the unwind at that frame and
+fails argument integrity anywhere else.
+:func:`reference_stops` swaps it in for
 ``BastionMonitor.on_syscall_stop``, so any run can be replayed through it
 and diffed against the planned stop (``tests/monitor/test_stop_plans.py``).
 """
@@ -14,7 +18,9 @@ and diffed against the planned stop (``tests/monitor/test_stop_plans.py``).
 import contextlib
 from dataclasses import dataclass, field
 
-from repro.errors import MonitorError
+from repro.errors import MonitorError, PtraceError, SegmentationFault
+from repro.kernel.errno import EFAULT, EIO
+from repro.kernel.process import RegisterFile
 from repro.monitor.cache import VerdictCache, VerificationDeps
 from repro.monitor.monitor import BastionMonitor
 from repro.monitor.unwind import Frame, callee_param_slot
@@ -49,19 +55,25 @@ class ReferencePtrace:
     def getregs(self):
         self.getregs_calls += 1
         self._charge(self.costs.ptrace_getregs)
-        return self.proc.regs.copy()
+        return RegisterFile.of(self.proc.syscall)
 
     def peekdata(self, addr):
         self.peek_calls += 1
         self.words_read += 1
         self._charge(self.costs.ptrace_peek, 1)
-        return self.proc.memory.read(addr)
+        try:
+            return self.proc.memory.read(addr)
+        except SegmentationFault as fault:
+            raise PtraceError(EIO, "PTRACE_PEEKDATA: %s" % fault) from None
 
     def readv(self, addr, nwords):
         self.readv_calls += 1
         self.words_read += nwords
         self._charge(self.costs.readv_base, nwords)
-        return self.proc.memory.read_block(addr, nwords)
+        try:
+            return self.proc.memory.read_block(addr, nwords)
+        except SegmentationFault as fault:
+            raise PtraceError(EFAULT, "process_vm_readv: %s" % fault) from None
 
     def read_vector(self, addr, max_entries=32):
         out = []
@@ -105,7 +117,11 @@ def reference_unwind(pt, regs, image, max_frames=64):
     fp = regs.rbp
     func = image.func_containing(regs.rip)
     while len(frames) < max_frames:
-        saved_fp, return_addr = pt.readv(fp, 2)
+        try:
+            saved_fp, return_addr = pt.readv(fp, 2)
+        except PtraceError:
+            frames.append(Frame(func, fp, 0, None, None))
+            break
         if return_addr == 0:
             frames.append(Frame(func, fp, 0, None, "bottom"))
             break
@@ -224,6 +240,13 @@ class ReferenceVerifier:
                         regs.rip,
                     )
                 return None
+            if frame.kind is None and frame.callsite_addr is None:
+                return Violation(
+                    "control-flow",
+                    syscall_name,
+                    "frame of %s at %#x cannot be read" % (frame.func, frame.fp),
+                    regs.rip,
+                )
             if frame.kind is None:
                 return Violation(
                     "control-flow",
@@ -540,9 +563,12 @@ def reference_on_syscall_stop(self, proc, syscall_name):
                 return False
         if policy.arg_integrity:
             before = ledger.cycles
-            verdict = verifier.verify_arg_integrity(
-                pt, regs, syscall_name, frames, inline, enforce
-            )
+            try:
+                verdict = verifier.verify_arg_integrity(
+                    pt, regs, syscall_name, frames, inline, enforce
+                )
+            except PtraceError as error:
+                verdict = Violation("arg-integrity", syscall_name, error.strerror, regs.rip)
             bus.charge_stage("verify.arg_integrity", ledger.cycles - before)
             if verdict is not None and enforce:
                 self._verdict(pt, verdict)

@@ -4,10 +4,13 @@
 from repro import protect
 from repro.ir.builder import ModuleBuilder
 from repro.kernel.kernel import Kernel
+from repro.kernel.process import RegisterFile
+from repro.kernel.ptrace import PtraceHandle
 from repro.monitor.cache import MonitorStats, VerdictCache, VerificationDeps
 from repro.monitor.monitor import BastionMonitor
 from repro.monitor.policy import ContextPolicy
 from repro.monitor.unwind import Frame
+from repro.vm.costs import DEFAULT_COSTS
 from repro.vm.cpu import CPUOptions
 from tests.conftest import make_wrapper
 
@@ -43,6 +46,15 @@ class TestVerdictCache:
         assert cache.lookup(KEY) is entry
         assert entry.probe == (0x7FFF0080, 0x40_0010)
         assert entry.depth == 2
+
+    def test_unreadable_probe_frame_is_a_probe_failure(self):
+        cache = VerdictCache()
+        entry = cache.store(KEY, _frames(), _deps())
+        pt = PtraceHandle(Kernel().create_process("t"), DEFAULT_COSTS)
+        for rbp in (0x7FFF0043, -16):
+            assert not cache.probe_ok(entry, pt, RegisterFile(rbp=rbp))
+        assert cache.stats.probe_failures == 2
+        assert pt.readv_calls == 2
 
     def test_volatile_verdicts_never_cached(self):
         cache = VerdictCache()

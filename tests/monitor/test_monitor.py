@@ -1,5 +1,6 @@
 """End-to-end monitor tests: filter construction and context enforcement."""
 
+import pytest
 
 from repro import protect
 from repro.ir.builder import ModuleBuilder
@@ -228,6 +229,33 @@ class TestArgIntegrityContext:
         assert monitor.violations[0].context == "arg-integrity"
         assert "pointee" in monitor.violations[0].detail
         assert not kernel.events_of("execve")
+
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (None, "PTRACE_PEEKDATA: unaligned access at 0x10003"),
+            (0x10003, "process_vm_readv: unaligned access at 0x10003"),
+        ],
+    )
+    @pytest.mark.parametrize("policy", ["full", "ai_only"])
+    def test_unreadable_pointee_blocked(self, argv, detail, policy):
+        """A bound pointer the monitor cannot read through fails the check
+        instead of crashing the stop."""
+        mb = ModuleBuilder("demo5")
+        make_wrapper(mb, "execve", 3)
+        mb.global_string("g_bin", "/usr/bin/app")
+        f = mb.function("main")
+        if argv is None:
+            f.call("execve", [f.const(0x10003), 0, 0])
+        else:
+            f.call("execve", [f.addr_global("g_bin"), f.const(argv), 0])
+        f.ret(0)
+        status, _p, _c, monitor = _launch(
+            policy=getattr(ContextPolicy, policy)(), module=mb.build()
+        )
+        assert status.kind == "killed"
+        [violation] = monitor.violations
+        assert (violation.context, violation.detail) == ("arg-integrity", detail)
 
 
 class TestModes:

@@ -24,7 +24,6 @@ from repro.compiler.pipeline import BastionCompiler
 from repro.ir.builder import ModuleBuilder
 from repro.errors import VMFault
 from repro.kernel.kernel import Kernel
-from repro.kernel.process import RegisterFile
 from repro.kernel.ptrace import PtraceHandle
 from repro.monitor.monitor import BastionMonitor
 from repro.monitor.policy import ContextPolicy
@@ -209,7 +208,7 @@ def _corrupt(monitor, proc, name, change):
     words = memory._words
     pick = change["pick"]
     # frame ``depth`` of the stopped tracee, found without a charged read
-    fp = proc.regs.rbp
+    fp = proc.syscall.rbp
     for _ in range(change["depth"]):
         fp = words.get(fp, 0)
     if fp <= 0 or fp & 7:
@@ -244,8 +243,11 @@ def _corrupt(monitor, proc, name, change):
         if found:
             words[copy + WORD] = words.get(copy + WORD, 0) ^ (1 << change["bit"])
     elif kind == "register":
-        register = RegisterFile.ARG_ORDER[pick % 3]
-        setattr(proc.regs, register, getattr(proc.regs, register) ^ (1 << change["bit"]))
+        # one of the syscall's three arguments, as the monitor and then the
+        # handler see it
+        args = list(proc.syscall.args)
+        args[pick % 3] ^= 1 << change["bit"]
+        proc.syscall.args = args
     elif kind == "syscall":
         return ("mmap", "open", "mprotect", "chmod")[pick % 4]
     return name
@@ -264,12 +266,13 @@ def _corrupted_run(policy, stop, change):
         seen[0] += 1
         # both unwinders on the stopped state, charging a scratch ledger
         scratch = types.SimpleNamespace(
-            ledger=CycleLedger(), memory=stopped.memory, regs=stopped.regs
+            ledger=CycleLedger(), memory=stopped.memory, syscall=stopped.syscall
         )
+        regs = PtraceHandle(scratch, monitor.costs).getregs()
         frames = []
         for unwind, handle in ((unwind_stack, PtraceHandle), (reference_unwind, ReferencePtrace)):
             try:
-                frames.append(unwind(handle(scratch, monitor.costs), stopped.regs, monitor.image))
+                frames.append(unwind(handle(scratch, monitor.costs), regs, monitor.image))
             except VMFault as fault:
                 frames.append(str(fault))
         assert frames[0] == frames[1]
@@ -278,7 +281,7 @@ def _corrupted_run(policy, stop, change):
     monitor.on_syscall_stop = on_syscall_stop
     status = cpu.run()
     observed = _observed(kernel, monitor, status)
-    observed["proc"] = (proc.regs.syscall_args(), cpu.rip, cpu.stats.steps)
+    observed["proc"] = (tuple(proc.syscall.args), cpu.rip, cpu.stats.steps)
     return observed
 
 
@@ -294,6 +297,28 @@ def test_corrupted_stops_match_the_reference(label, stop, change):
     with reference_stops():
         reference = _corrupted_run(policy, stop, change)
     assert planned == reference
+
+
+@pytest.mark.parametrize("value", ["odd", "negative"])
+def test_unreadable_saved_frame_pointer_fails_control_flow(value):
+    """A saved frame pointer the monitor cannot read ends the unwind at
+    that frame, and control flow kills the tracee with a violation naming
+    it.  Without the control-flow context the stop passes, and the
+    program then faults on its own access."""
+    change = {"kind": "saved_fp", "depth": 0, "pick": 1, "value": value, "bit": 0}
+    frame = "0x7ffcfffffff3" if value == "odd" else "-0x10"
+    for label in ("full/ptrace/nocache", "full/ptrace/cache", "CF/ptrace/nocache",
+                  "CF/inkernel/cache"):
+        observed = _corrupted_run(POLICIES[label], 2, change)
+        assert observed["status"][0] == "killed", label
+        assert observed["violations"] == [
+            "[control-flow] open: frame of main at %s cannot be read (rip=0x400100)" % frame
+        ]
+    for label in ("CT/ptrace/nocache", "AI/ptrace/nocache", "AI/ptrace/cache",
+                  "full/ptrace/fetch"):
+        observed = _corrupted_run(POLICIES[label], 2, change)
+        assert observed["status"][:2] == ("fault", 139), label
+        assert observed["violations"] == []
 
 
 def test_clean_program_passes_at_every_stop():

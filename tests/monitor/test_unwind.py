@@ -1,5 +1,7 @@
 """Tests for the frame-pointer stack unwinder."""
 
+import pytest
+
 from repro.ir.builder import ModuleBuilder
 from repro.kernel.ptrace import PtraceHandle
 from repro.monitor.unwind import callee_param_slot, Frame, unwind_stack
@@ -27,15 +29,20 @@ def _chain_module(depth=3):
     return mb.build()
 
 
+def _stop(cpu):
+    """A syscall issued where the hook fires, and a ptrace handle on it."""
+    cpu.kernel.dispatch(cpu.proc, "getpid", [], cpu.rip, cpu.fp, cpu.sp)
+    return PtraceHandle(cpu.proc, DEFAULT_COSTS)
+
+
 def _unwind_at_hook(module, mutate=None):
     captured = {}
 
     def probe(cpu):
-        pt = PtraceHandle(cpu.proc, DEFAULT_COSTS)
-        cpu.proc.set_registers("getpid", [], rip=cpu.rip, rbp=cpu.fp, rsp=cpu.sp)
+        pt = _stop(cpu)
         if mutate:
             mutate(cpu)
-        captured["frames"] = unwind_stack(pt, cpu.proc.regs, cpu.image)
+        captured["frames"] = unwind_stack(pt, pt.getregs(), cpu.image)
 
     run_module(module, hooks={"probe": probe})
     return captured["frames"]
@@ -60,11 +67,8 @@ class TestBenignUnwind:
         captured = {}
 
         def probe(cpu):
-            pt = PtraceHandle(cpu.proc, DEFAULT_COSTS)
-            cpu.proc.set_registers("getpid", [], rip=cpu.rip, rbp=cpu.fp, rsp=cpu.sp)
-            captured["frames"] = unwind_stack(
-                pt, cpu.proc.regs, cpu.image, max_frames=2
-            )
+            pt = _stop(cpu)
+            captured["frames"] = unwind_stack(pt, pt.getregs(), cpu.image, max_frames=2)
 
         run_module(_chain_module(4), hooks={"probe": probe})
         assert len(captured["frames"]) == 2
@@ -112,6 +116,15 @@ class TestHijackedUnwind:
         frames = _unwind_at_hook(_chain_module(1), mutate=smash)
         assert frames[0].kind == "bottom"
         assert frames[0].func == "leaf"
+
+    @pytest.mark.parametrize("saved_fp", [0x7FFCFFFFFF03, -16])
+    def test_unreadable_saved_frame_pointer_ends_the_walk(self, saved_fp):
+        def smash(cpu):
+            cpu.proc.memory.write(cpu.fp, saved_fp)
+
+        frames = _unwind_at_hook(_chain_module(2), mutate=smash)
+        assert [f.func for f in frames] == ["leaf", "f0"]
+        assert frames[-1] == Frame("f0", saved_fp, 0)  # no call kind
 
 
 def test_callee_param_slot():
